@@ -19,19 +19,17 @@ def main() -> int:
     parser.add_argument("--json", action="store_true")
     args = parser.parse_args()
 
-    budgets = ((2, 12), (3, 10), (4, 9))
+    # The acceptance budgets are the config dataclasses' defaults.
     runs = [
         ("formula", lambda: sweeps.run_formula_sweep(
-            sweeps.FormulaSweepConfig(budgets=budgets, cache_dir=args.cache))),
+            sweeps.FormulaSweepConfig(cache_dir=args.cache))),
         ("branching", lambda: sweeps.run_branching_sweep(
-            sweeps.BranchingSweepConfig(budgets=budgets, cache_dir=args.cache))),
-        ("bijection", lambda: sweeps.run_bijection_sweep(
-            sweeps.BijectionSweepConfig(max_positions=8, samples=10000,
-                                        sample_positions=12, seed=2011))),
+            sweeps.BranchingSweepConfig(cache_dir=args.cache))),
+        ("bijection", lambda: sweeps.run_bijection_sweep(sweeps.BijectionSweepConfig())),
         ("construction", lambda: sweeps.run_construction_sweep(
-            sweeps.ConstructionSweepConfig(max_positions=8))),
+            sweeps.ConstructionSweepConfig())),
         ("consistency", lambda: sweeps.run_consistency_sweep(
-            sweeps.ConsistencySweepConfig(e_values=(2, 3), max_n=10))),
+            sweeps.ConsistencySweepConfig())),
     ]
 
     all_ok = True

@@ -475,14 +475,15 @@ def _case_split(t: SignSequence, a: frozenset[int], b: frozenset[int]):
 
     phi1 = {}
     for el in left_elements(t, a, btil):
-        image = _split_left_extend(t, a, b, btil, a0, b0, b1, el)
+        image = _split_left_extend(t, a, b, b0, b1, el)
         if image.norm - el.norm != shift:
             raise ConstructionError("split", f"phi1 shift {image.norm - el.norm} != {shift}", t, a, b)
         phi1[el] = image
     phi2 = {}
     if tprime is not None:
         for el in left_elements(tprime, a, b):
-            image = _split_left_insert(t, tprime, a, b, b1, a2, el)
+            c = el.position
+            image = _left(t, a, b, c, _reinstate_ridge(t, el.collection, b | {c}, b1, a2, t, a, b))
             if image.norm != el.norm:
                 raise ConstructionError("split", "phi2 is not norm-preserving", t, a, b)
             phi2[el] = image
@@ -493,14 +494,14 @@ def _case_split(t: SignSequence, a: frozenset[int], b: frozenset[int]):
     psi1 = {}
     mstar = max(t.prefix(b0).positions)
     for rel in right_elements(t, a, btil):
-        image = _split_right_extend(t, a, b, btil, a0, b0, b1, mstar, rel)
+        image = _split_right_extend(t, a, b, a0, b0, b1, mstar, rel)
         if image.norm - rel.norm != shift:
             raise ConstructionError("split", f"psi1 shift {image.norm - rel.norm} != {shift}", t, a, b)
         psi1[rel] = image
     psi2 = {}
     if tprime is not None:
         for rel in right_elements(tprime, a, b):
-            image = _split_right_insert(t, tprime, a, b, b1, a2, rel)
+            image = _split_right_insert(t, a, b, b1, a2, rel)
             if image.norm != rel.norm:
                 raise ConstructionError("split", "psi2 is not norm-preserving", t, a, b)
             psi2[rel] = image
@@ -527,22 +528,26 @@ def _assert_partition(part1, part2, whole, corner, t, a, b):
         )
 
 
-def _split_left_extend(t, a, b, btil, a0, b0, b1, el: LeftElement) -> LeftElement:
-    """Re-aim the window that closes at the split column so it closes at the
-    removed column, extending its path generically."""
-    c = el.position
-    if c == b0:
-        return _left(t, a, b, b1, el.collection)
-    entries = list(el.collection.entries)
+def _reaim(base: SignSequence, entries, b1, b0, t, a, b) -> list:
+    """The entries with the window that closes at the split column b1
+    re-aimed at the removed column b0, its path extended generically; the
+    re-aimed entry comes last."""
     carrier = _entry_by_closer(entries, b1)
     if carrier is None:
         raise ConstructionError("split-pairing", f"no window closes at {b1}", t, a, b)
     a1, _, path1 = carrier
-    new_path = LatticedPath(t.between(a1, b0), path1.flattened)
-    if not is_valid_path(new_path):
-        raise ConstructionError("split-pairing", "extended path is invalid", t, a, b)
     rest = [e for e in entries if e is not carrier]
-    rest.append((a1, b0, new_path))
+    rest.append((a1, b0, LatticedPath(base.between(a1, b0), path1.flattened)))
+    return rest
+
+
+def _split_left_extend(t, a, b, b0, b1, el: LeftElement) -> LeftElement:
+    c = el.position
+    if c == b0:
+        return _left(t, a, b, b1, el.collection)
+    rest = _reaim(t, el.collection.entries, b1, b0, t, a, b)
+    if not is_valid_path(rest[-1][2]):
+        raise ConstructionError("split-pairing", "extended path is invalid", t, a, b)
     if _expected_pairs(a, b | {c}) != tuple(sorted((x, y) for x, y, _ in rest)):
         raise ConstructionError("split-pairing", "other windows shift under the extension", t, a, b)
     if not is_well_nested(t, rest):
@@ -550,40 +555,36 @@ def _split_left_extend(t, a, b, btil, a0, b0, b1, el: LeftElement) -> LeftElemen
     return _left(t, a, b, c, make_collection(t, rest))
 
 
-def _split_left_insert(t, tprime, a, b, b1, a2, el: LeftElement) -> LeftElement:
-    """Reinstate the adjacent plus/minus pair as a flattened ridge inside
-    every window that spans it."""
-    c = el.position
+def _reinstate_ridge(
+    base: SignSequence, coll: WellNestedCollection, closers, b1, a2, t, a, b
+) -> WellNestedCollection:
+    """Reinstate the adjacent plus/minus pair (b1, a2) as a flattened ridge
+    inside every window of coll that spans it, re-reading each window in
+    base; the result must still pair A with closers and stay well-nested."""
     entries = []
-    for x, y, path in el.collection.entries:
+    for x, y, path in coll.entries:
         if x < b1 < y:
-            new = LatticedPath(t.between(x, y), path.flattened | {(b1, a2)})
+            new = LatticedPath(base.between(x, y), path.flattened | {(b1, a2)})
         elif x == y:
             new = path
         else:
-            new = LatticedPath(t.between(x, y), path.flattened)
+            new = LatticedPath(base.between(x, y), path.flattened)
         if not is_valid_path(new):
             raise ConstructionError("split-insert", "inserted ridge breaks a path", t, a, b)
         entries.append((x, y, new))
-    if _expected_pairs(a, b | {c}) != tuple(sorted((x, y) for x, y, _ in entries)):
+    if _expected_pairs(a, closers) != tuple(sorted((x, y) for x, y, _ in entries)):
         raise ConstructionError("split-insert", "pairing changed under reinstatement", t, a, b)
-    if not is_well_nested(t, entries):
+    if not is_well_nested(base, entries):
         raise ConstructionError("split-insert", "reinstated collection is not well-nested", t, a, b)
-    return _left(t, a, b, c, make_collection(t, entries))
+    return make_collection(base, entries)
 
 
-def _split_right_extend(t, a, b, btil, a0, b0, b1, mstar, rel: RightElement) -> RightElement:
+def _split_right_extend(t, a, b, a0, b0, b1, mstar, rel: RightElement) -> RightElement:
     d, dp = rel.valley, rel.marker
     base = t.shift_up(d)
     entries = list(rel.collection.entries)
     if d != mstar:
-        carrier = _entry_by_closer(entries, b1)
-        if carrier is None:
-            raise ConstructionError("split-pairing", f"no window closes at {b1} (valley {d})", t, a, b)
-        a1, _, path1 = carrier
-        new_path = LatticedPath(base.between(a1, b0), path1.flattened)
-        rest = [e for e in entries if e is not carrier]
-        rest.append((a1, b0, new_path))
+        rest = _reaim(base, entries, b1, b0, t, a, b)
     else:
         first = _entry_by_opener(entries, a0)
         if first is None or first[1] != b1:
@@ -607,27 +608,12 @@ def _split_right_extend(t, a, b, btil, a0, b0, b1, mstar, rel: RightElement) -> 
     return _right(t, d, dp, make_collection(base, rest))
 
 
-def _split_right_insert(t, tprime, a, b, b1, a2, rel: RightElement) -> RightElement:
+def _split_right_insert(t, a, b, b1, a2, rel: RightElement) -> RightElement:
     d, dp = rel.valley, rel.marker
     if d not in valley_set(t):
         raise ConstructionError("split-insert", f"{d} is no valley of the full sequence", t, a, b)
     allowed = {d} | {u for u in unpaired_plus(t) if u > d}
     if dp not in allowed:
         raise ConstructionError("split-insert", f"marker {dp} is not allowed in the full sequence", t, a, b)
-    base = t.shift_up(d)
-    entries = []
-    for x, y, path in rel.collection.entries:
-        if x < b1 < y:
-            new = LatticedPath(base.between(x, y), path.flattened | {(b1, a2)})
-        elif x == y:
-            new = path
-        else:
-            new = LatticedPath(base.between(x, y), path.flattened)
-        if not is_valid_path(new):
-            raise ConstructionError("split-insert", "inserted ridge breaks a right path", t, a, b)
-        entries.append((x, y, new))
-    if _expected_pairs(a, b | {d}) != tuple(sorted((x, y) for x, y, _ in entries)):
-        raise ConstructionError("split-insert", "pairing changed under right reinstatement", t, a, b)
-    if not is_well_nested(base, entries):
-        raise ConstructionError("split-insert", "reinstated right collection is not well-nested", t, a, b)
-    return _right(t, d, dp, make_collection(base, entries))
+    coll = _reinstate_ridge(t.shift_up(d), rel.collection, b | {d}, b1, a2, t, a, b)
+    return _right(t, d, dp, coll)

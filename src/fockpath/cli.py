@@ -19,8 +19,8 @@ from .closedform import (
     MoveSpec,
     admissible_moves,
     decomposition_paths,
-    decomposition_polynomial,
     detect_move,
+    norm_polynomial,
 )
 from .fockspace import CacheError, ERegularError, get_oracle
 from .latticepath import (
@@ -30,7 +30,7 @@ from .latticepath import (
     render_svg,
     well_nested_collections,
 )
-from .partitions import format_partition, parse_partition
+from .partitions import check_e, format_partition, parse_partition
 from .signseq import SignSequence
 from . import sweeps
 
@@ -61,6 +61,24 @@ def _sign_sequence(args) -> SignSequence:
     return SignSequence(_parse_positions(args.plus), _parse_positions(args.minus))
 
 
+def _move_record(move: MoveSpec):
+    """The JSON record of a move with its polynomial and its well-nested
+    collections; the collections are enumerated once."""
+    collections = decomposition_paths(move)
+    poly = norm_polynomial(collections)
+    record = {
+        "lambda": list(move.target),
+        "mu": list(move.lam),
+        "e": move.e,
+        "r": move.r,
+        "A": sorted(move.added),
+        "B": sorted(move.removed),
+        "poly": poly.to_json(),
+        "paths": len(collections),
+    }
+    return record, poly, collections
+
+
 # -- decomp -----------------------------------------------------------------
 
 
@@ -82,18 +100,7 @@ def cmd_decomp(args) -> int:
         move = MoveSpec(
             col, args.e, args.r, _parse_positions(args.add or ""), _parse_positions(args.remove or "")
         )
-    poly = decomposition_polynomial(move)
-    collections = decomposition_paths(move)
-    record = {
-        "lambda": list(move.target),
-        "mu": list(col),
-        "e": args.e,
-        "r": move.r,
-        "A": sorted(move.added),
-        "B": sorted(move.removed),
-        "poly": poly.to_json(),
-        "paths": len(collections),
-    }
+    record, poly, collections = _move_record(move)
     if args.json:
         print(json.dumps(record, sort_keys=True))
     else:
@@ -118,43 +125,22 @@ def cmd_decomp(args) -> int:
 
 def cmd_moves(args) -> int:
     lam = parse_partition(args.lam)
-    residues = [args.r] if args.r is not None else list(range(args.e))
-    records = []
-    for r in residues:
-        for move in admissible_moves(lam, args.e, r):
-            if move.is_identity:
-                continue
-            poly = decomposition_polynomial(move)
-            records.append(
-                {
-                    "lambda": list(move.target),
-                    "mu": list(lam),
-                    "e": args.e,
-                    "r": r,
-                    "A": sorted(move.added),
-                    "B": sorted(move.removed),
-                    "poly": poly.to_json(),
-                    "paths": len(decomposition_paths(move)),
-                }
-            )
+    residues = [args.r] if args.r is not None else list(range(check_e(args.e)))
+    records = [
+        _move_record(move)
+        for r in residues
+        for move in admissible_moves(lam, args.e, r)
+        if not move.is_identity
+    ]
     if args.json:
-        print(json.dumps(records, sort_keys=True))
+        print(json.dumps([rec for rec, _, _ in records], sort_keys=True))
     else:
         if not records:
             print("no moves")
-        for rec in records:
+        for rec, poly, _ in records:
             target = format_partition(tuple(rec["lambda"]))
-            print(
-                f"r={rec['r']} add={rec['A']} remove={rec['B']} -> {target}: "
-                f"{_poly_from_json(rec['poly'])}"
-            )
+            print(f"r={rec['r']} add={rec['A']} remove={rec['B']} -> {target}: {poly}")
     return 0
-
-
-def _poly_from_json(data):
-    from .laurent import LaurentPolynomial
-
-    return LaurentPolynomial.from_json(data)
 
 
 # -- paths --------------------------------------------------------------------
@@ -246,35 +232,39 @@ def cmd_oracle(args) -> int:
 # -- verify ---------------------------------------------------------------------
 
 
+def _given(**flags) -> dict:
+    """The flags given on the command line; the others keep the defaults of
+    the sweep's config dataclass."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
 def cmd_verify(args) -> int:
     kind = args.kind
     if kind == "formula":
-        budgets = _budgets(args, default=((2, 12), (3, 10), (4, 9)))
+        cfg = sweeps.FormulaSweepConfig
         report = sweeps.run_formula_sweep(
-            sweeps.FormulaSweepConfig(budgets=budgets, cache_dir=_cache_dir(args))
+            cfg(budgets=_budgets(args, cfg.budgets), cache_dir=_cache_dir(args))
         )
     elif kind == "branching":
-        budgets = _budgets(args, default=((2, 12), (3, 10), (4, 9)))
+        cfg = sweeps.BranchingSweepConfig
         report = sweeps.run_branching_sweep(
-            sweeps.BranchingSweepConfig(budgets=budgets, cache_dir=_cache_dir(args))
+            cfg(budgets=_budgets(args, cfg.budgets), cache_dir=_cache_dir(args))
         )
     elif kind == "bijection":
         report = sweeps.run_bijection_sweep(
             sweeps.BijectionSweepConfig(
-                max_positions=args.max_positions or 8,
-                samples=args.samples if args.samples is not None else 10000,
-                seed=args.seed,
+                **_given(max_positions=args.max_positions, samples=args.samples, seed=args.seed)
             ),
             report_path=args.report,
         )
     elif kind == "construction":
         report = sweeps.run_construction_sweep(
-            sweeps.ConstructionSweepConfig(max_positions=args.max_positions or 8)
+            sweeps.ConstructionSweepConfig(**_given(max_positions=args.max_positions))
         )
     elif kind == "consistency":
-        e_values = tuple(args.e) if args.e else (2, 3)
+        e_values = tuple(args.e) if args.e else None
         report = sweeps.run_consistency_sweep(
-            sweeps.ConsistencySweepConfig(e_values=e_values, max_n=args.max_n or 10)
+            sweeps.ConsistencySweepConfig(**_given(e_values=e_values, max_n=args.max_n))
         )
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(f"unknown verify kind {kind}")
@@ -291,14 +281,14 @@ def cmd_verify(args) -> int:
 
 
 def _budgets(args, default):
-    if args.e and args.max_n:
-        return tuple((e, args.max_n) for e in args.e)
-    if args.e:
-        defaults = dict(default)
-        return tuple((e, defaults.get(e, 8)) for e in args.e)
-    if args.max_n:
-        return tuple((e, args.max_n) for e, _ in default)
-    return default
+    """(e, max_n) budgets: the given --e values (else the default moduli),
+    each with --max-n if given, else its default budget (8 for a modulus
+    without one)."""
+    defaults = dict(default)
+    return tuple(
+        (e, args.max_n if args.max_n is not None else defaults.get(e, 8))
+        for e in (args.e or defaults)
+    )
 
 
 # -- render ------------------------------------------------------------------
@@ -383,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int)
     p.add_argument("--max-positions", type=int)
     p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int, default=2011)
+    p.add_argument("--seed", type=int)
     p.add_argument("--cache")
     p.add_argument("--report", help="write one JSON line per bijection instance")
     p.add_argument("--json", action="store_true")

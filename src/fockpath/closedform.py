@@ -11,11 +11,15 @@ ones.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
+from typing import Iterable, Iterator
 
 from .laurent import LaurentPolynomial, ZERO, quantum_integer
 from .latticepath import WellNestedCollection, well_nested_collections
-from .partitions import Partition, boundary_nodes, cells, check_partition, residue
+from .partitions import Partition, boundary_nodes, cells, check_e, check_partition, residue
 from .signseq import SignSequence, bijective, onto, unpaired_plus, valley_set
 from . import bijection as _bijection
 
@@ -23,7 +27,7 @@ from . import bijection as _bijection
 def sign_sequence_of(lam: Partition, e: int, r: int) -> SignSequence:
     """Columns of removable r-nodes as plus, columns of indent r-nodes as
     minus; the left-to-right order of the nodes is the column order."""
-    removable, indent = boundary_nodes(lam, e, r)
+    removable, indent = boundary_nodes(lam, check_e(e), r)
     return SignSequence(
         frozenset(n[1] for n in removable), frozenset(n[1] for n in indent)
     )
@@ -48,7 +52,7 @@ class MoveSpec:
         object.__setattr__(self, "lam", check_partition(self.lam))
         object.__setattr__(self, "added", frozenset(self.added))
         object.__setattr__(self, "removed", frozenset(self.removed))
-        t = sign_sequence_of(self.lam, self.e, self.r)
+        t = self.sign_sequence
         if not (self.added - self.removed) <= t.minus:
             raise ValueError(
                 f"added columns {sorted(self.added - self.removed - t.minus)} are not indent columns"
@@ -58,11 +62,11 @@ class MoveSpec:
                 f"removed columns {sorted(self.removed - self.added - t.plus)} are not removable columns"
             )
 
-    @property
+    @cached_property
     def sign_sequence(self) -> SignSequence:
         return sign_sequence_of(self.lam, self.e, self.r)
 
-    @property
+    @cached_property
     def target(self) -> Partition:
         return apply_move(self.lam, self.e, self.r, self.added, self.removed)
 
@@ -102,6 +106,7 @@ def detect_move(lam: Partition, nu: Partition, e: int) -> MoveSpec | None:
     Succeeds when the diagram difference consists of indent nodes of lam
     (gained) and removable nodes of lam (lost), all of one residue.
     """
+    check_e(e)
     lam = check_partition(lam)
     nu = check_partition(nu)
     if sum(lam) != sum(nu):
@@ -140,10 +145,13 @@ def decomposition_polynomial(move: MoveSpec) -> LaurentPolynomial:
     Equals 1 for the identity move and lies in v*N0[v] for any nonempty
     move; 0 when the matching of added to removed columns is imperfect.
     """
-    total = ZERO
-    for collection in decomposition_paths(move):
-        total = total + LaurentPolynomial.monomial(collection.norm)
-    return total
+    return norm_polynomial(decomposition_paths(move))
+
+
+def norm_polynomial(items: Iterable) -> LaurentPolynomial:
+    """Sum of v^norm over items carrying a ``norm`` (well-nested
+    collections, left or right elements); 0 when there are none."""
+    return LaurentPolynomial(Counter(item.norm for item in items))
 
 
 def branching_coefficient(
@@ -184,16 +192,9 @@ def consistency_sums(
     t = sign_sequence_of(lam, e, r)
     a = frozenset(added)
     b = frozenset(removed)
-    left = _sum_norms(_bijection.left_elements(t, a, b))
-    right = _sum_norms(_bijection.right_elements(t, a, b))
+    left = norm_polynomial(_bijection.left_elements(t, a, b))
+    right = norm_polynomial(_bijection.right_elements(t, a, b))
     return left, right
-
-
-def _sum_norms(elements) -> LaurentPolynomial:
-    total = ZERO
-    for el in elements:
-        total = total + LaurentPolynomial.monomial(el.norm)
-    return total
 
 
 def delete_first_row(lam: Partition) -> Partition:
@@ -207,20 +208,24 @@ def admissible_moves(
 ) -> list[MoveSpec]:
     """All moves from lam at residue r with a perfect added/removed matching
     (the identity move included), optionally capped by |added|."""
-    from itertools import combinations
-
-    t = sign_sequence_of(lam, e, r)
     out = []
-    minus = sorted(t.minus)
-    plus = sorted(t.plus)
-    top = min(len(minus), len(plus))
-    if max_size is not None:
-        top = min(top, max_size)
-    for k in range(top + 1):
-        for a in combinations(minus, k):
-            for b in combinations(plus, k):
-                if bijective(a, b):
-                    out.append(
-                        MoveSpec(lam=lam, e=e, r=r, added=frozenset(a), removed=frozenset(b))
-                    )
+    for a, b in column_sets(sign_sequence_of(lam, e, r), 0):
+        if max_size is not None and len(a) > max_size:
+            break
+        if bijective(a, b):
+            out.append(MoveSpec(lam=lam, e=e, r=r, added=frozenset(a), removed=frozenset(b)))
     return out
+
+
+def column_sets(
+    t: SignSequence, surplus: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every (A, B) with A among t's minus positions, B among its plus
+    positions and |A| = |B| + surplus, as sorted tuples: by increasing |B|,
+    lexicographically within one size.  Sweeps filter these with their own
+    predicate (bijective for moves, onto for induction instances)."""
+    minus, plus = sorted(t.minus), sorted(t.plus)
+    for k in range(min(len(plus), len(minus) - surplus) + 1):
+        for a in combinations(minus, k + surplus):
+            for b in combinations(plus, k):
+                yield a, b

@@ -30,6 +30,7 @@ from .partitions import (
     add_cell,
     boundary_nodes,
     cells,
+    check_e,
     check_partition,
     dominates,
     residue,
@@ -53,8 +54,7 @@ class CacheError(IOError):
 
 def is_e_regular(p: Partition, e: int) -> bool:
     """True iff no part value occurs e or more times."""
-    if e < 2:
-        raise ValueError("e must be at least 2")
+    check_e(e)
     run = 1
     for i in range(1, len(p)):
         run = run + 1 if p[i] == p[i - 1] else 1
@@ -211,9 +211,7 @@ class CanonicalBasisOracle:
     """
 
     def __init__(self, e: int, cache_dir: str | os.PathLike | None = None):
-        if e < 2:
-            raise ValueError("e must be at least 2")
-        self.e = e
+        self.e = check_e(e)
         self._memo: dict[Partition, FockVector] = {(): FockVector.basis(())}
         self._lock = threading.RLock()
         self._cache = OracleCache(cache_dir) if cache_dir else None

@@ -207,12 +207,6 @@ class WellNestedCollection:
                 return path
         raise KeyError(opener)
 
-    def closer_of(self, opener: int) -> int:
-        for a, b, _ in self.entries:
-            if a == opener:
-                return b
-        raise KeyError(opener)
-
 
 def make_collection(
     base: SignSequence, entries: Iterable[tuple[int, int, LatticedPath]]

@@ -33,6 +33,13 @@ def check_partition(parts: Iterable[int]) -> Partition:
     return p
 
 
+def check_e(e: int) -> int:
+    """Validate the modulus e of residues and return it."""
+    if e < 2:
+        raise ValueError("e must be at least 2")
+    return e
+
+
 def parse_partition(text: str) -> Partition:
     """Parse comma-separated parts; '' and '0' denote the empty partition."""
     text = text.strip()
@@ -115,17 +122,6 @@ def add_cell(p: Partition, node: Node) -> Partition:
     return tuple(rows)
 
 
-def remove_cell(p: Partition, node: Node) -> Partition:
-    i, j = node
-    if (i, j) not in removable_nodes(p):
-        raise ValueError(f"{node} is not a removable node of {p}")
-    rows = list(p)
-    rows[i - 1] -= 1
-    if rows[-1] == 0:
-        rows.pop()
-    return tuple(rows)
-
-
 # -- beta-sets ---------------------------------------------------------
 
 
@@ -179,8 +175,7 @@ def jantzen_successors(p: Partition, e: int) -> frozenset[Partition]:
     slots empty.  t = |p| + l(p) is large enough to expose every step, and
     by shift compatibility the resulting set does not depend on t.
     """
-    if e < 2:
-        raise ValueError("e must be at least 2")
+    check_e(e)
     n, l = sum(p), len(p)
     t = n + l
     if t == 0:

@@ -40,14 +40,6 @@ class Matching:
                 return u
         return None
 
-    def opener_of(self, closer: int) -> int | None:
-        if closer in self.self_paired:
-            return closer
-        for u, w in self.pairs:
-            if w == closer:
-                return u
-        return None
-
     def all_pairs(self) -> tuple[tuple[int, int], ...]:
         """Matched pairs plus the degenerate self-pairs, sorted by opener."""
         return tuple(sorted(self.pairs + tuple((x, x) for x in self.self_paired)))
@@ -118,13 +110,6 @@ class SignSequence:
     def size(self) -> int:
         """|plus| - |minus|; may be negative."""
         return len(self.plus) - len(self.minus)
-
-    def sign(self, position: int) -> int:
-        if position in self.plus:
-            return 1
-        if position in self.minus:
-            return -1
-        raise KeyError(position)
 
     def matching(self) -> Matching:
         """Bracket matching of the path: plus strokes open, minus close."""

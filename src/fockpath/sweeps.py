@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Iterator
 
 from .bijection import (
@@ -25,6 +24,8 @@ from .closedform import (
     MoveSpec,
     apply_move,
     branching_coefficient,
+    column_sets,
+    consistency_sums,
     decomposition_paths,
     decomposition_polynomial,
     delete_first_row,
@@ -38,7 +39,7 @@ from .fockspace import (
     is_e_regular,
 )
 from .laurent import ZERO, LaurentPolynomial
-from .partitions import partitions_of
+from .partitions import boundary_nodes, partitions_of
 from .signseq import SignSequence, onto
 
 
@@ -66,18 +67,6 @@ class SweepReport:
         }
 
 
-def _poly_str(p: LaurentPolynomial) -> str:
-    return str(p)
-
-
-def _iter_same_size_moves(t: SignSequence) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    minus, plus = sorted(t.minus), sorted(t.plus)
-    for k in range(min(len(minus), len(plus)) + 1):
-        for a in combinations(minus, k):
-            for b in combinations(plus, k):
-                yield a, b
-
-
 # -- formula vs oracle (with output-shape checks) ---------------------------
 
 
@@ -101,8 +90,7 @@ def run_formula_sweep(cfg: FormulaSweepConfig) -> SweepReport:
                 if not is_e_regular(lam, e):
                     continue
                 for r in range(e):
-                    t = sign_sequence_of(lam, e, r)
-                    for a, b in _iter_same_size_moves(t):
+                    for a, b in column_sets(sign_sequence_of(lam, e, r), 0):
                         move = MoveSpec(lam, e, r, frozenset(a), frozenset(b))
                         formula = decomposition_polynomial(move)
                         target = move.target
@@ -111,7 +99,7 @@ def run_formula_sweep(cfg: FormulaSweepConfig) -> SweepReport:
                         if formula != d:
                             report.fail(
                                 lam=list(lam), e=e, r=r, A=list(a), B=list(b),
-                                formula=_poly_str(formula), oracle=_poly_str(d),
+                                formula=str(formula), oracle=str(d),
                             )
                             continue
                         if formula:
@@ -127,22 +115,22 @@ def _check_shape(report: SweepReport, move: MoveSpec, poly: LaurentPolynomial) -
     if move.is_identity:
         if poly != 1:
             report.fail(kind="diagonal", lam=list(move.lam), e=move.e, r=move.r,
-                        poly=_poly_str(poly))
+                        poly=str(poly))
         return
     if poly.is_zero:
         return
     if not poly.in_positive_part():
         report.fail(kind="positivity", lam=list(move.lam), e=move.e, r=move.r,
-                    A=sorted(move.added), B=sorted(move.removed), poly=_poly_str(poly))
+                    A=sorted(move.added), B=sorted(move.removed), poly=str(poly))
         return
     if poly.min_exponent < len(effective):
         report.fail(kind="low-degree", lam=list(move.lam), e=move.e, r=move.r,
-                    A=sorted(move.added), B=sorted(move.removed), poly=_poly_str(poly))
+                    A=sorted(move.added), B=sorted(move.removed), poly=str(poly))
     collections = decomposition_paths(move)
     top = max(c.norm for c in collections)
     if poly.max_exponent != top or poly.coefficient(top) != 1:
         report.fail(kind="top-degree", lam=list(move.lam), e=move.e, r=move.r,
-                    A=sorted(move.added), B=sorted(move.removed), poly=_poly_str(poly))
+                    A=sorted(move.added), B=sorted(move.removed), poly=str(poly))
     _check_first_row(report, move, poly)
 
 
@@ -151,8 +139,6 @@ def _check_first_row(report: SweepReport, move: MoveSpec, poly: LaurentPolynomia
     first row is deleted (the residue shifts by one, columns stay put)."""
     if not move.lam:
         return
-    from .partitions import boundary_nodes
-
     removable, indent = boundary_nodes(move.lam, move.e, move.r)
     rows = {n[1]: n[0] for n in removable + indent}
     touched = move.added ^ move.removed
@@ -166,7 +152,7 @@ def _check_first_row(report: SweepReport, move: MoveSpec, poly: LaurentPolynomia
     if other != poly:
         report.fail(kind="first-row", lam=list(move.lam), e=move.e, r=move.r,
                     A=sorted(move.added), B=sorted(move.removed),
-                    poly=_poly_str(poly), trimmed=_poly_str(other))
+                    poly=str(poly), trimmed=str(other))
 
 
 # -- branching cross-check ---------------------------------------------------
@@ -200,23 +186,18 @@ def run_branching_sweep(cfg: BranchingSweepConfig) -> SweepReport:
                     except SingularPivotError:
                         blocked += 1
                         continue
-                    t = sign_sequence_of(lam, e, r)
-                    minus, plus = sorted(t.minus), sorted(t.plus)
-                    for k in range(min(len(plus) + 1, len(minus))):
-                        for a in combinations(minus, k + 1):
-                            for b in combinations(plus, k):
-                                if not onto(a, b):
-                                    continue
-                                formula = branching_coefficient(lam, e, r, a, b)
-                                target = apply_move(lam, e, r, a, b)
-                                extracted = coeffs.get(target, ZERO)
-                                report.checked += 1
-                                if formula != extracted:
-                                    report.fail(
-                                        lam=list(lam), e=e, r=r, A=list(a), B=list(b),
-                                        formula=_poly_str(formula),
-                                        extracted=_poly_str(extracted),
-                                    )
+                    for a, b in column_sets(sign_sequence_of(lam, e, r), 1):
+                        if not onto(a, b):
+                            continue
+                        formula = branching_coefficient(lam, e, r, a, b)
+                        target = apply_move(lam, e, r, a, b)
+                        extracted = coeffs.get(target, ZERO)
+                        report.checked += 1
+                        if formula != extracted:
+                            report.fail(
+                                lam=list(lam), e=e, r=r, A=list(a), B=list(b),
+                                formula=str(formula), extracted=str(extracted),
+                            )
     report.notes["blocked"] = blocked
     return report
 
@@ -241,15 +222,10 @@ def iter_exhaustive_instances(
     for k in range(1, max_positions + 1):
         for mask in range(2**k):
             plus = frozenset(i + 1 for i in range(k) if mask >> i & 1)
-            minus = frozenset(range(1, k + 1)) - plus
-            if not minus:
-                continue
-            t = SignSequence(plus, minus)
-            for nb in range(min(len(plus), len(minus) - 1) + 1):
-                for a in combinations(sorted(minus), nb + 1):
-                    for b in combinations(sorted(plus), nb):
-                        if onto(a, b):
-                            yield t, frozenset(a), frozenset(b)
+            t = SignSequence(plus, frozenset(range(1, k + 1)) - plus)
+            for a, b in column_sets(t, 1):
+                if onto(a, b):
+                    yield t, frozenset(a), frozenset(b)
 
 
 def sample_instances(
@@ -368,27 +344,14 @@ def run_consistency_sweep(cfg: ConsistencySweepConfig) -> SweepReport:
         for n in range(cfg.max_n + 1):
             for lam in partitions_of(n):
                 for r in range(e):
-                    t = sign_sequence_of(lam, e, r)
-                    minus, plus = sorted(t.minus), sorted(t.plus)
-                    for k in range(min(len(plus) + 1, len(minus))):
-                        for a in combinations(minus, k + 1):
-                            for b in combinations(plus, k):
-                                if not onto(a, b):
-                                    continue
-                                lhs = _norm_sum(left_elements(t, a, b))
-                                rhs = _norm_sum(right_elements(t, a, b))
-                                report.checked += 1
-                                if lhs != rhs:
-                                    report.fail(
-                                        lam=list(lam), e=e, r=r,
-                                        A=list(a), B=list(b),
-                                        left=_poly_str(lhs), right=_poly_str(rhs),
-                                    )
+                    for a, b in column_sets(sign_sequence_of(lam, e, r), 1):
+                        if not onto(a, b):
+                            continue
+                        lhs, rhs = consistency_sums(lam, e, r, a, b)
+                        report.checked += 1
+                        if lhs != rhs:
+                            report.fail(
+                                lam=list(lam), e=e, r=r, A=list(a), B=list(b),
+                                left=str(lhs), right=str(rhs),
+                            )
     return report
-
-
-def _norm_sum(elements) -> LaurentPolynomial:
-    total = ZERO
-    for el in elements:
-        total = total + LaurentPolynomial.monomial(el.norm)
-    return total

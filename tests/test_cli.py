@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from fockpath.cli import main
 
 
@@ -194,3 +196,29 @@ def test_determinism_of_verify(capsys):
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert (code1, out1) == (code2, out2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decomp", "--e", "0", "--col", "2", "--row", "1,1"),
+        ("decomp", "--e", "1", "--col", "2", "--row", "1,1"),
+        ("moves", "--e", "0", "--lam", "3,1"),
+    ],
+    ids=["decomp-e0", "decomp-e1", "moves-e0"],
+)
+def test_modulus_below_two_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_verify_keeps_an_explicit_zero(capsys):
+    code, out, _ = run(
+        capsys, "verify", "bijection", "--max-positions", "0", "--samples", "5", "--json"
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert report["checked"] == 5
+    assert report["notes"]["sampled"] == 5

@@ -1,3 +1,5 @@
+from itertools import chain, combinations
+
 import pytest
 
 from fockpath.closedform import (
@@ -5,11 +7,13 @@ from fockpath.closedform import (
     admissible_moves,
     apply_move,
     branching_coefficient,
+    column_sets,
     consistency_sums,
     decomposition_paths,
     decomposition_polynomial,
     delete_first_row,
     detect_move,
+    norm_polynomial,
     sign_sequence_of,
 )
 from fockpath.fockspace import get_oracle, is_e_regular
@@ -186,3 +190,31 @@ def test_first_row_removal():
                         assert decomposition_polynomial(move) == decomposition_polynomial(
                             trimmed
                         )
+
+
+@pytest.mark.parametrize(
+    "plus, minus",
+    [
+        ({2, 5}, {1, 3, 4}),
+        ({1, 2, 3}, set()),
+        (set(), {1, 4}),
+        (set(), set()),
+        ({3, 4, 6}, {1, 2, 5, 7}),
+    ],
+)
+@pytest.mark.parametrize("surplus", [0, 1, 2, 5])
+def test_column_sets_is_the_ordered_subset_filter(plus, minus, surplus):
+    def subsets(xs):
+        xs = sorted(xs)
+        return chain.from_iterable(combinations(xs, k) for k in range(len(xs) + 1))
+
+    brute = sorted(
+        ((a, b) for a in subsets(minus) for b in subsets(plus) if len(a) == len(b) + surplus),
+        key=lambda ab: (len(ab[1]), ab),
+    )
+    assert list(column_sets(SignSequence(plus, minus), surplus)) == brute
+
+
+def test_norm_polynomial_of_nothing_is_zero():
+    assert norm_polynomial(()) == ZERO
+    assert norm_polynomial(()).is_zero
