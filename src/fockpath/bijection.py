@@ -273,7 +273,7 @@ def _extension_image(t, a, b, a0, c, gamma, valleys):
     return _right(t, d, d, coll)
 
 
-# -- strip case: some pair encloses no plus position ------------------------
+# -- shared reduction steps ------------------------------------------------
 
 
 def _entry_by_opener(entries, opener):
@@ -290,76 +290,112 @@ def _entry_by_closer(entries, closer):
     return None
 
 
-def _expected_pairs(a, closers) -> tuple[tuple[int, int], ...]:
-    return match_pairs(a, closers).all_pairs()
+def _chosen_pair(a, candidates) -> tuple[int, int]:
+    """The smallest closer of the candidate pairs and its largest opener,
+    moved in to the last member of A inside their window."""
+    b0 = min(y for _, y in candidates)
+    a0 = max(x for x, y in candidates if y == b0)
+    return max((x for x in a if a0 < x < b0), default=a0), b0
+
+
+def _reduce(elements, step, shift, corner, t, a, b) -> dict:
+    """Every element mapped by step; each image's norm must exceed the
+    element's by exactly shift."""
+    out = {}
+    for el in elements:
+        image = step(el)
+        if image.norm - el.norm != shift:
+            raise ConstructionError(corner, f"norm shift {image.norm - el.norm} != {shift}", t, a, b)
+        out[el] = image
+    return out
+
+
+def _assert_partition(parts, whole, corner, t, a, b):
+    """The images of the reductions in parts are distinct and cover whole."""
+    combined = [img for part in parts for img in part.values()]
+    if len(set(combined)) != len(combined) or set(combined) != set(whole):
+        raise ConstructionError(
+            corner, "the reductions do not partition the index set", t, a, b
+        )
+
+
+def _checked(base, entries, openers, closers, corner, t, a, b, nested_corner=None):
+    """The collection of entries in base, once they are known to still pair
+    openers with closers and to stay well-nested."""
+    if match_pairs(openers, closers).all_pairs() != tuple(sorted((x, y) for x, y, _ in entries)):
+        raise ConstructionError(corner, "the windows no longer match openers to closers", t, a, b)
+    if not is_well_nested(base, entries):
+        raise ConstructionError(nested_corner or corner, "the collection is not well-nested", t, a, b)
+    return make_collection(base, entries)
+
+
+def _reaim(base: SignSequence, entries, old, new, corner, t, a, b) -> list:
+    """The entries with the window closing at old re-read in base as closing
+    at new, keeping its flattened pairs; none of them may reach new."""
+    carrier = _entry_by_closer(entries, old)
+    if carrier is None:
+        raise ConstructionError(corner, f"no window closes at {old}", t, a, b)
+    x, _, path = carrier
+    if any(w >= new for _, w in path.flattened):
+        raise ConstructionError(
+            corner, f"flattened pairs of the ({x},{old}) window reach past {new}", t, a, b
+        )
+    reaimed = LatticedPath(base.between(x, new), path.flattened)
+    if not is_valid_path(reaimed):
+        raise ConstructionError(corner, f"re-aimed path ({x},{new}) is invalid", t, a, b)
+    return [e for e in entries if e is not carrier] + [(x, new, reaimed)]
+
+
+# -- strip case: some pair encloses no plus position ------------------------
 
 
 def _case_strip(t: SignSequence, a: frozenset[int], b: frozenset[int], empty_pairs):
-    b0 = min(y for _, y in empty_pairs)
-    a0 = max(x for x, y in empty_pairs if y == b0)
-    inner_a = {x for x in a if a0 < x < b0}
-    if inner_a:
-        a0 = max(inner_a)
+    a0, b0 = _chosen_pair(a, empty_pairs)
     window0 = t.between(a0, b0)
     if window0.plus:
         raise ConstructionError("strip", "normalisation exposed plus positions", t, a, b)
     if window0.minus & a:
         raise ConstructionError("strip", "normalisation left members of A inside", t, a, b)
     a2, b2 = a - {a0}, b - {b0}
-    shift = 1 + len(window0.minus)
+    shift = -(1 + len(window0.minus))
 
     sub = _build(t, a2, b2)
 
-    phi = {}
-    for el in left_elements(t, a, b):
-        image = _strip_left(t, a, b, a2, b2, a0, b0, el)
-        if el.norm - image.norm != shift:
-            raise ConstructionError("strip", f"left shift {el.norm - image.norm} != {shift}", t, a, b)
-        phi[el] = image
-    _assert_bijection_onto(phi, left_elements(t, a2, b2), "strip-left", t, a, b)
-
-    psi = {}
-    for rel in right_elements(t, a, b):
-        image = _strip_right(t, a, b, a2, b2, a0, b0, el=rel)
-        if rel.norm - image.norm != shift:
-            raise ConstructionError("strip", f"right shift {rel.norm - image.norm} != {shift}", t, a, b)
-        psi[rel] = image
-    _assert_bijection_onto(psi, right_elements(t, a2, b2), "strip-right", t, a, b)
+    phi = _reduce(
+        left_elements(t, a, b),
+        lambda el: _strip_left(t, a, b, a2, b2, a0, b0, el),
+        shift, "strip", t, a, b,
+    )
+    _assert_partition((phi,), left_elements(t, a2, b2), "strip-left", t, a, b)
+    psi = _reduce(
+        right_elements(t, a, b),
+        lambda rel: _strip_right(t, a, b, a2, b2, a0, b0, rel),
+        shift, "strip", t, a, b,
+    )
+    _assert_partition((psi,), right_elements(t, a2, b2), "strip-right", t, a, b)
 
     inv_psi = {img: rel for rel, img in psi.items()}
     return {el: inv_psi[sub[phi[el]]] for el in phi}
 
 
-def _assert_bijection_onto(mapping, codomain, corner, t, a, b):
-    values = list(mapping.values())
-    if len(set(values)) != len(values) or set(values) != set(codomain):
-        raise ConstructionError(corner, "reduction is not a bijection onto the smaller set", t, a, b)
-
-
 def _strip_left(t, a, b, a2, b2, a0, b0, el: LeftElement) -> LeftElement:
     c = el.position
-    entries = list(el.collection.entries)
-    dropped = _entry_by_opener(entries, a0)
-    rest = [e for e in entries if e is not dropped]
-    if c == a0:
-        if dropped[1] != a0:
-            raise ConstructionError("strip-pairing", f"{a0} is not self-paired at its own column", t, a, b)
-        new_c = b0
-    else:
-        if dropped[1] != b0:
-            raise ConstructionError(
-                "strip-pairing", f"{a0} pairs with {dropped[1]} instead of {b0}", t, a, b
-            )
-        new_c = c
-    if _expected_pairs(a2, b2 | {new_c}) != tuple(sorted((x, y) for x, y, _ in rest)):
-        raise ConstructionError("strip-pairing", "remaining windows shift under the strip", t, a, b)
-    return _left(t, a2, b2, new_c, make_collection(t, rest))
+    dropped = _entry_by_opener(el.collection.entries, a0)
+    if dropped[1] != (a0 if c == a0 else b0):
+        raise ConstructionError(
+            "strip-pairing", f"{a0} pairs with {dropped[1]} at column {c}", t, a, b
+        )
+    new_c = b0 if c == a0 else c
+    rest = [e for e in el.collection.entries if e is not dropped]
+    coll = _checked(t, rest, a2, b2 | {new_c}, "strip-pairing", t, a, b, nested_corner="strip")
+    return _left(t, a2, b2, new_c, coll)
 
 
 def _strip_right(t, a, b, a2, b2, a0, b0, el: RightElement) -> RightElement:
     d, dp = el.valley, el.marker
     base = t.shift_up(d)
-    entries = list(el.collection.entries)
+    dropped = _entry_by_opener(el.collection.entries, a0)
+    rest = [e for e in el.collection.entries if e is not dropped]
     if a0 < d < b0:
         # An interior valley is forced to sit immediately before b0: being a
         # valley leaves no room for further minus positions, and the strip
@@ -372,61 +408,23 @@ def _strip_right(t, a, b, a2, b2, a0, b0, el: RightElement) -> RightElement:
                 f"positions remain between interior valley {d} and {b0}",
                 t, a, b,
             )
-        dropped = _entry_by_opener(entries, a0)
         if dropped[1] != d or dropped[2].flattened:
             raise ConstructionError(
                 "strip-interior-valley",
                 f"{a0} does not carry the forced generic window to {d}",
                 t, a, b,
             )
-        carrier = _entry_by_closer(entries, b0)
-        if carrier is None:
-            raise ConstructionError("strip-interior-valley", f"no window closes at {b0}", t, a, b)
-        y, _, path_y = carrier
-        if any(w >= d for _, w in path_y.flattened):
-            raise ConstructionError(
-                "strip-interior-valley",
-                f"flattened pairs of the ({y},{b0}) window reach past {d}",
-                t, a, b,
-            )
-        new_path = LatticedPath(base.between(y, d), path_y.flattened)
-        if not is_valid_path(new_path):
-            raise ConstructionError("strip-interior-valley", "re-aimed path is invalid", t, a, b)
-        rest = [e for e in entries if e is not dropped and e is not carrier]
-        rest.append((y, d, new_path))
+        rest = _reaim(base, rest, b0, d, "strip-interior-valley", t, a, b)
     elif d == a0:
-        dropped = _entry_by_opener(entries, a0)
         if dropped[1] != a0:
             raise ConstructionError("strip-pairing", f"{a0} is not self-paired at valley {d}", t, a, b)
-        carrier = _entry_by_closer(entries, b0)
-        if carrier is None:
-            raise ConstructionError("strip-pairing", f"no window closes at {b0}", t, a, b)
-        y, _, path_y = carrier
-        if any(w >= a0 for _, w in path_y.flattened) or any(u >= a0 for u, _ in path_y.flattened):
-            raise ConstructionError(
-                "strip-truncation",
-                f"flattened pairs of the ({y},{b0}) window reach past {a0}",
-                t, a, b,
-            )
-        new_path = LatticedPath(base.between(y, a0), path_y.flattened)
-        if not is_valid_path(new_path):
-            raise ConstructionError("strip-truncation", "cut path is invalid", t, a, b)
-        rest = [e for e in entries if e is not dropped and e is not carrier]
-        rest.append((y, a0, new_path))
-    else:
-        dropped = _entry_by_opener(entries, a0)
-        if dropped[1] != b0:
-            raise ConstructionError(
-                "strip-pairing",
-                f"{a0} pairs with {dropped[1]} instead of {b0} at valley {d}",
-                t, a, b,
-            )
-        rest = [e for e in entries if e is not dropped]
-    if _expected_pairs(a2, b2 | {d}) != tuple(sorted((x, y) for x, y, _ in rest)):
-        raise ConstructionError("strip-pairing", "remaining windows shift under the strip", t, a, b)
-    if not is_well_nested(base, rest):
-        raise ConstructionError("strip", "stripped collection is no longer well-nested", t, a, b)
-    return _right(t, d, dp, make_collection(base, rest))
+        rest = _reaim(base, rest, b0, a0, "strip-truncation", t, a, b)
+    elif dropped[1] != b0:
+        raise ConstructionError(
+            "strip-pairing", f"{a0} pairs with {dropped[1]} instead of {b0} at valley {d}", t, a, b
+        )
+    coll = _checked(base, rest, a2, b2 | {d}, "strip-pairing", t, a, b, nested_corner="strip")
+    return _right(t, d, dp, coll)
 
 
 # -- split case: every pair encloses a plus position ------------------------
@@ -440,12 +438,7 @@ def _case_split(t: SignSequence, a: frozenset[int], b: frozenset[int]):
     m0 = min(sizes.values())
     if m0 == 0:
         raise ConstructionError("split", "dispatch error: an empty plus interior remains", t, a, b)
-    cands = [p for p in pairs_ab if sizes[p] == m0]
-    b0 = min(y for _, y in cands)
-    a0 = max(x for x, y in cands if y == b0)
-    inner_a = {x for x in a if a0 < x < b0}
-    if inner_a:
-        a0 = max(inner_a)
+    a0, b0 = _chosen_pair(a, [p for p in pairs_ab if sizes[p] == m0])
     window0 = t.between(a0, b0)
     if len(window0.plus) != m0:
         raise ConstructionError("split", "normalisation changed the minimal interior", t, a, b)
@@ -461,98 +454,52 @@ def _case_split(t: SignSequence, a: frozenset[int], b: frozenset[int]):
     if not onto(a, btil):
         raise ConstructionError("split", "A is not onto the shifted removal set", t, a, b)
     sub1 = _build(t, a, btil)
+    phi1 = _reduce(
+        left_elements(t, a, btil),
+        lambda el: _split_left_extend(t, a, b, b0, b1, el),
+        shift, "split", t, a, b,
+    )
+    mstar = max(t.prefix(b0).positions)
+    psi1 = _reduce(
+        right_elements(t, a, btil),
+        lambda rel: _split_right_extend(t, a, b, a0, b0, b1, mstar, rel),
+        shift, "split", t, a, b,
+    )
 
+    sub2, phi2, psi2 = {}, {}, {}
     if interior.positions:
         a2 = min(interior.positions)
         tprime = SignSequence(t.plus - {b1}, t.minus - {a2})
         if not onto(a, b):
             raise ConstructionError("split", "A not onto B in the reduced sequence", t, a, b)
         sub2 = _build(tprime, a, b)
-    else:
-        a2 = None
-        tprime = None
-        sub2 = None
-
-    phi1 = {}
-    for el in left_elements(t, a, btil):
-        image = _split_left_extend(t, a, b, b0, b1, el)
-        if image.norm - el.norm != shift:
-            raise ConstructionError("split", f"phi1 shift {image.norm - el.norm} != {shift}", t, a, b)
-        phi1[el] = image
-    phi2 = {}
-    if tprime is not None:
-        for el in left_elements(tprime, a, b):
-            c = el.position
-            image = _left(t, a, b, c, _reinstate_ridge(t, el.collection, b | {c}, b1, a2, t, a, b))
-            if image.norm != el.norm:
-                raise ConstructionError("split", "phi2 is not norm-preserving", t, a, b)
-            phi2[el] = image
-    _assert_partition(
-        list(phi1.values()), list(phi2.values()), left_elements(t, a, b), "split-left", t, a, b
-    )
-
-    psi1 = {}
-    mstar = max(t.prefix(b0).positions)
-    for rel in right_elements(t, a, btil):
-        image = _split_right_extend(t, a, b, a0, b0, b1, mstar, rel)
-        if image.norm - rel.norm != shift:
-            raise ConstructionError("split", f"psi1 shift {image.norm - rel.norm} != {shift}", t, a, b)
-        psi1[rel] = image
-    psi2 = {}
-    if tprime is not None:
-        for rel in right_elements(tprime, a, b):
-            image = _split_right_insert(t, a, b, b1, a2, rel)
-            if image.norm != rel.norm:
-                raise ConstructionError("split", "psi2 is not norm-preserving", t, a, b)
-            psi2[rel] = image
-    _assert_partition(
-        list(psi1.values()), list(psi2.values()), right_elements(t, a, b), "split-right", t, a, b
-    )
-
-    inv_phi1 = {img: el for el, img in phi1.items()}
-    inv_phi2 = {img: el for el, img in phi2.items()}
-    out = {}
-    for el in left_elements(t, a, b):
-        if el in inv_phi1:
-            out[el] = psi1[sub1[inv_phi1[el]]]
-        else:
-            out[el] = psi2[sub2[inv_phi2[el]]]
-    return out
-
-
-def _assert_partition(part1, part2, whole, corner, t, a, b):
-    combined = part1 + part2
-    if len(set(combined)) != len(combined) or set(combined) != set(whole):
-        raise ConstructionError(
-            corner, "the two reductions do not partition the index set", t, a, b
+        phi2 = _reduce(
+            left_elements(tprime, a, b),
+            lambda el: _left(
+                t, a, b, el.position,
+                _reinstate_ridge(t, el.collection, b | {el.position}, b1, a2, t, a, b),
+            ),
+            0, "split", t, a, b,
         )
+        psi2 = _reduce(
+            right_elements(tprime, a, b),
+            lambda rel: _split_right_insert(t, a, b, b1, a2, rel),
+            0, "split", t, a, b,
+        )
+    _assert_partition((phi1, phi2), left_elements(t, a, b), "split-left", t, a, b)
+    _assert_partition((psi1, psi2), right_elements(t, a, b), "split-right", t, a, b)
 
-
-def _reaim(base: SignSequence, entries, b1, b0, t, a, b) -> list:
-    """The entries with the window that closes at the split column b1
-    re-aimed at the removed column b0, its path extended generically; the
-    re-aimed entry comes last."""
-    carrier = _entry_by_closer(entries, b1)
-    if carrier is None:
-        raise ConstructionError("split-pairing", f"no window closes at {b1}", t, a, b)
-    a1, _, path1 = carrier
-    rest = [e for e in entries if e is not carrier]
-    rest.append((a1, b0, LatticedPath(base.between(a1, b0), path1.flattened)))
-    return rest
+    out = {img: psi1[sub1[el]] for el, img in phi1.items()}
+    out.update((img, psi2[sub2[el]]) for el, img in phi2.items())
+    return out
 
 
 def _split_left_extend(t, a, b, b0, b1, el: LeftElement) -> LeftElement:
     c = el.position
     if c == b0:
         return _left(t, a, b, b1, el.collection)
-    rest = _reaim(t, el.collection.entries, b1, b0, t, a, b)
-    if not is_valid_path(rest[-1][2]):
-        raise ConstructionError("split-pairing", "extended path is invalid", t, a, b)
-    if _expected_pairs(a, b | {c}) != tuple(sorted((x, y) for x, y, _ in rest)):
-        raise ConstructionError("split-pairing", "other windows shift under the extension", t, a, b)
-    if not is_well_nested(t, rest):
-        raise ConstructionError("split-pairing", "extended collection is not well-nested", t, a, b)
-    return _left(t, a, b, c, make_collection(t, rest))
+    rest = _reaim(t, el.collection.entries, b1, b0, "split-pairing", t, a, b)
+    return _left(t, a, b, c, _checked(t, rest, a, b | {c}, "split-pairing", t, a, b))
 
 
 def _reinstate_ridge(
@@ -572,40 +519,26 @@ def _reinstate_ridge(
         if not is_valid_path(new):
             raise ConstructionError("split-insert", "inserted ridge breaks a path", t, a, b)
         entries.append((x, y, new))
-    if _expected_pairs(a, closers) != tuple(sorted((x, y) for x, y, _ in entries)):
-        raise ConstructionError("split-insert", "pairing changed under reinstatement", t, a, b)
-    if not is_well_nested(base, entries):
-        raise ConstructionError("split-insert", "reinstated collection is not well-nested", t, a, b)
-    return make_collection(base, entries)
+    return _checked(base, entries, a, closers, "split-insert", t, a, b)
 
 
 def _split_right_extend(t, a, b, a0, b0, b1, mstar, rel: RightElement) -> RightElement:
     d, dp = rel.valley, rel.marker
     base = t.shift_up(d)
-    entries = list(rel.collection.entries)
-    if d != mstar:
-        rest = _reaim(base, entries, b1, b0, t, a, b)
-    else:
+    entries = rel.collection.entries
+    if d == mstar:
+        # The split column's window (a0, b1) closes at the valley instead,
+        # and the window that closed at the valley moves out to b0.
         first = _entry_by_opener(entries, a0)
         if first is None or first[1] != b1:
             raise ConstructionError(
                 "split-pairing", f"{a0} does not pair with the split column at valley {d}", t, a, b
             )
-        second = _entry_by_closer(entries, d)
-        if second is None:
-            raise ConstructionError("split-pairing", f"no window closes at the valley {d}", t, a, b)
-        ap, _, path_ap = second
-        rest = [e for e in entries if e is not first and e is not second]
-        rest.append((a0, d, LatticedPath(base.between(a0, d), first[2].flattened)))
-        rest.append((ap, b0, LatticedPath(base.between(ap, b0), path_ap.flattened)))
-    for x, y, path in rest:
-        if x != y and not is_valid_path(path):
-            raise ConstructionError("split-pairing", "re-aimed path is invalid", t, a, b)
-    if _expected_pairs(a, b | {d}) != tuple(sorted((x, y) for x, y, _ in rest)):
-        raise ConstructionError("split-pairing", "windows shift under the right extension", t, a, b)
-    if not is_well_nested(base, rest):
-        raise ConstructionError("split-pairing", "extended right collection is not well-nested", t, a, b)
-    return _right(t, d, dp, make_collection(base, rest))
+        entries = _reaim(base, entries, d, b0, "split-pairing", t, a, b)
+        entries = _reaim(base, entries, b1, d, "split-pairing", t, a, b)
+    else:
+        entries = _reaim(base, entries, b1, b0, "split-pairing", t, a, b)
+    return _right(t, d, dp, _checked(base, entries, a, b | {d}, "split-pairing", t, a, b))
 
 
 def _split_right_insert(t, a, b, b1, a2, rel: RightElement) -> RightElement:

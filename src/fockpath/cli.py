@@ -209,7 +209,7 @@ def cmd_oracle(args) -> int:
         raise CliError(str(exc), USAGE_ERROR) from exc
     if args.lam is not None:
         lam = parse_partition(args.lam)
-        poly = element.coefficient(lam)
+        poly = oracle.coefficient(lam, mu)
         if args.json:
             print(json.dumps({"lambda": list(lam), "mu": list(mu), "poly": poly.to_json()}))
         else:

@@ -299,6 +299,8 @@ class CanonicalBasisOracle:
         """Compute every e-regular element of size n and write the level file."""
         from .partitions import partitions_of
 
+        if n < 0:
+            raise ValueError(f"cache level size must be non-negative, got {n}")
         with self._lock:
             for mu in partitions_of(n):
                 if is_e_regular(mu, self.e):

@@ -127,13 +127,12 @@ class SignSequence:
         self,
         lower: int | None = None,
         upper: int | None = None,
-        include_lower: bool = False,
         include_upper: bool = False,
     ) -> "SignSequence":
-        """Positions within the given interval bounds, signs preserved."""
+        """Positions in (lower, upper), or (lower, upper] with include_upper."""
 
         def keep(x: int) -> bool:
-            if lower is not None and (x < lower or (x == lower and not include_lower)):
+            if lower is not None and x <= lower:
                 return False
             if upper is not None and (x > upper or (x == upper and not include_upper)):
                 return False

@@ -4,11 +4,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fockpath.bijection import (
+    ConstructionError,
+    _checked,
+    _reaim,
     build_bijection,
     left_elements,
     norm_multisets_match,
     right_elements,
 )
+from fockpath.latticepath import LatticedPath, is_well_nested
 from fockpath.signseq import SignSequence, onto
 from fockpath.sweeps import iter_exhaustive_instances, sample_instances
 
@@ -114,3 +118,39 @@ def test_generating_functions_match_consistency_sums():
     for el in right_elements(t, a, set()):
         total_r = total_r + LaurentPolynomial.monomial(el.norm)
     assert (lhs, rhs) == (total_l, total_r)
+
+
+# -- failure paths of the shared reduction steps ------------------------------
+
+NESTED_T = SignSequence(frozenset({3, 5, 6}), frozenset({1, 2, 4}))
+
+
+def _window(lo, hi, flattened=()):
+    return (lo, hi, LatticedPath(NESTED_T.between(lo, hi), frozenset(flattened)))
+
+
+def test_checked_rejects_a_changed_pairing():
+    entries = [_window(2, 5), _window(1, 6)]
+    with pytest.raises(ConstructionError) as info:
+        _checked(NESTED_T, entries, {1, 2}, {3, 6}, "strip-pairing", NESTED_T, {1, 2}, {5})
+    assert info.value.corner == "strip-pairing"
+
+
+def test_checked_rejects_a_collection_that_is_not_well_nested():
+    # the inner window dips below the generic outer one at its flattened pair
+    entries = [_window(1, 6), _window(2, 5, {(3, 4)})]
+    assert not is_well_nested(NESTED_T, entries)
+    args = (NESTED_T, entries, {1, 2}, {5, 6})
+    with pytest.raises(ConstructionError) as info:
+        _checked(*args, "split-pairing", NESTED_T, {1, 2}, {5})
+    assert info.value.corner == "split-pairing"
+    with pytest.raises(ConstructionError) as info:
+        _checked(*args, "strip-pairing", NESTED_T, {1, 2}, {5}, nested_corner="strip")
+    assert info.value.corner == "strip"
+
+
+def test_reaim_rejects_a_flattened_pair_past_the_new_closer():
+    entries = [_window(1, 6), _window(2, 5, {(3, 4)})]
+    with pytest.raises(ConstructionError) as info:
+        _reaim(NESTED_T, entries, 5, 4, "strip-truncation", NESTED_T, {1, 2}, {5})
+    assert info.value.corner == "strip-truncation"

@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +117,40 @@ def test_oracle_cache_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "oracle", "--e", "2", "--n", "5", "--cache", cache, "--json")
     assert code == 0
     assert json.loads(out)["roundtrip"] == "ok"
+
+
+def test_oracle_rejects_row_label_of_another_size(capsys):
+    code, out, err = run(capsys, "oracle", "--e", "2", "--mu", "3", "--lam", "2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "size mismatch" in err
+
+
+def test_oracle_rejects_negative_cache_level(capsys, tmp_path):
+    code, out, err = run(capsys, "oracle", "--e", "2", "--n", "-1", "--cache", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    return [line.split("#", 1)[0].split() for line in block.splitlines()
+            if line.startswith("fockpath ")]
+
+
+def test_readme_cli_examples_run(capsys):
+    skipped = {"--cache", "--n", "--report", "--out", "verify"}
+    ran = 0
+    for argv in _readme_cli_lines():
+        if skipped & set(argv):
+            continue
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, (shlex.join(argv), err)
+        ran += 1
+    assert ran >= 6
 
 
 def test_verify_consistency_small(capsys):
