@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .latticepath import (
     LatticedPath,
@@ -78,23 +79,37 @@ def _check_instance(t: SignSequence, a: frozenset[int], b: frozenset[int]) -> No
 
 
 def _left(t: SignSequence, a, b, c: int, coll: WellNestedCollection) -> LeftElement:
+    # t.suffix(c).size is t.size - t.height(c)
     norm = (
         2 * (sum(1 for x in b if x > c) - sum(1 for x in a if x > c))
-        - t.suffix(c).size
+        + t.height(c) - t.size
         + coll.norm
     )
     return LeftElement(position=c, collection=coll, norm=norm)
 
 
 def _right(t: SignSequence, d: int, dp: int, coll: WellNestedCollection) -> RightElement:
-    norm = 2 * t.half_open(d, dp).size - t.suffix(d).size + coll.norm
+    # t.half_open(d, dp).size is t.height(dp) - t.height(d)
+    norm = 2 * t.height(dp) - t.height(d) - t.size + coll.norm
     return RightElement(valley=d, marker=dp, collection=coll, norm=norm)
+
+
+# Index sets memoised per (t, A, B).  The construction recurses into the same
+# sub-instances from neighbouring instances of a sweep, so a small cache shared
+# across build_bijection calls keeps most of the hits at little memory.
+_INDEX_SET_CACHE = 16
 
 
 def left_elements(
     t: SignSequence, a, b
 ) -> tuple[LeftElement, ...]:
-    a, b = frozenset(a), frozenset(b)
+    return _left_elements(t, frozenset(a), frozenset(b))
+
+
+@lru_cache(maxsize=_INDEX_SET_CACHE)
+def _left_elements(
+    t: SignSequence, a: frozenset[int], b: frozenset[int]
+) -> tuple[LeftElement, ...]:
     _check_instance(t, a, b)
     out = []
     for c in sorted((t.plus | a) - b):
@@ -108,7 +123,13 @@ def left_elements(
 def right_elements(
     t: SignSequence, a, b
 ) -> tuple[RightElement, ...]:
-    a, b = frozenset(a), frozenset(b)
+    return _right_elements(t, frozenset(a), frozenset(b))
+
+
+@lru_cache(maxsize=_INDEX_SET_CACHE)
+def _right_elements(
+    t: SignSequence, a: frozenset[int], b: frozenset[int]
+) -> tuple[RightElement, ...]:
     _check_instance(t, a, b)
     out = []
     unpaired = unpaired_plus(t)

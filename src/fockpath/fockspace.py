@@ -21,6 +21,7 @@ import json
 import os
 import tempfile
 import threading
+import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
@@ -206,7 +207,8 @@ def _dominance_maximal(candidates: Iterable[Partition]) -> Partition:
 class CanonicalBasisOracle:
     """Memoised canonical-basis computation for a fixed modulus e.
 
-    The memo table is the only mutable state; a re-entrant lock serialises
+    The memo table and ``cache_discards`` (corrupt cache levels dropped and
+    recomputed) are the only mutable state; a re-entrant lock serialises
     writes so concurrent callers each see every (e, mu) computed once.
     """
 
@@ -216,6 +218,7 @@ class CanonicalBasisOracle:
         self._lock = threading.RLock()
         self._cache = OracleCache(cache_dir) if cache_dir else None
         self._loaded_levels: set[int] = set()
+        self.cache_discards = 0
 
     def element(self, mu: Partition) -> CanonicalBasisElement:
         mu = check_partition(mu)
@@ -288,9 +291,15 @@ class CanonicalBasisOracle:
             records = self._cache.load(self.e, n)
         except FileNotFoundError:
             return
-        except CacheError:
-            # corrupt file: drop it and recompute
+        except CacheError as exc:
+            # corrupt file: drop it and recompute, but say so
             self._cache.discard(self.e, n)
+            self.cache_discards += 1
+            warnings.warn(
+                f"{exc}; discarded the corrupt oracle cache level, recomputing it",
+                RuntimeWarning,
+                stacklevel=3,
+            )
             return
         for mu, vec in records.items():
             self._memo[mu] = vec

@@ -156,12 +156,7 @@ def ambient_heights(t: SignSequence) -> tuple[dict[int, int], list[int]]:
     heights[k] is the level of the generic path after its first k strokes;
     heights[0] = 0.
     """
-    rank = {}
-    heights = [0]
-    for k, p in enumerate(t.positions, start=1):
-        rank[p] = k
-        heights.append(heights[-1] + (1 if p in t.plus else -1))
-    return rank, heights
+    return {p: k for k, p in enumerate(t.positions, start=1)}, list(t.prefix_heights)
 
 
 def path_profile(
@@ -174,14 +169,14 @@ def path_profile(
     lowers exactly the grid points strictly inside it, so both endpoints
     always sit on the ambient generic path.
     """
-    rank, heights = ambient_heights(t)
+    heights = t.prefix_heights
     a, b = pair
-    lo = rank[a]
-    hi = rank[b] - 1
-    flat = sorted(path.flattened)
+    lo = t.rank(a)
+    hi = t.rank(b) - 1
+    flat = [(t.rank(u), t.rank(w)) for u, w in path.flattened]
     out = {}
     for x in range(lo, hi + 1):
-        drop = sum(1 for (u, w) in flat if rank[u] <= x < rank[w])
+        drop = sum(1 for (u, w) in flat if u <= x < w)
         out[x] = heights[x] - drop
     return out
 
@@ -255,10 +250,15 @@ def well_nested_collections(
     """
     a = frozenset(openers)
     b = frozenset(closers)
-    if not (a - b) <= t.minus or not (b - a) <= t.plus:
-        raise PairingError(
-            f"openers {sorted(a - b)} must be minus positions and closers {sorted(b - a)} plus positions"
-        )
+    bad_openers = sorted((a - b) - t.minus)
+    bad_closers = sorted((b - a) - t.plus)
+    if bad_openers or bad_closers:
+        problems = []
+        if bad_openers:
+            problems.append(f"openers {bad_openers} are not minus positions")
+        if bad_closers:
+            problems.append(f"closers {bad_closers} are not plus positions")
+        raise PairingError(" and ".join(problems))
     m = match_pairs(a, b)
     if m.unpaired_openers or m.unpaired_closers:
         raise PairingError(
@@ -272,25 +272,28 @@ def well_nested_collections(
             per_pair.append([(u, w, LatticedPath.empty())])
         else:
             per_pair.append([(u, w, p) for p in latticed_paths(t.between(u, w))])
-    relations = nested_pair_relations(pairs)
-    profiles: dict[tuple[Pair, LatticedPath], dict[int, int]] = {}
-    for options in per_pair:
-        for u, w, path in options:
-            if u != w:
-                profiles[((u, w), path)] = path_profile(t, (u, w), path)
+    # Each nesting relation, as (outer index, inner index, compatible option
+    # index pairs), decided once from the profiles instead of per combination.
+    index = {pair: k for k, pair in enumerate(pairs)}
+    profiles = [
+        [path_profile(t, (u, w), path) for u, w, path in options if u != w]
+        for options in per_pair
+    ]
+    checks = []
+    for outer, inner in nested_pair_relations(pairs):
+        i, j = index[outer], index[inner]
+        compatible = frozenset(
+            (p, q)
+            for p, po in enumerate(profiles[i])
+            for q, pi in enumerate(profiles[j])
+            if all(h >= po[x] for x, h in pi.items())
+        )
+        checks.append((i, j, compatible))
 
     out = []
-    for combo in product(*per_pair):
-        chosen = {(u, w): path for u, w, path in combo}
-        ok = True
-        for outer, inner in relations:
-            po = profiles[(outer, chosen[outer])]
-            pi = profiles[(inner, chosen[inner])]
-            if any(h < po[x] for x, h in pi.items()):
-                ok = False
-                break
-        if ok:
-            out.append(make_collection(t, combo))
+    for choice in product(*(range(len(options)) for options in per_pair)):
+        if all((choice[i], choice[j]) in compatible for i, j, compatible in checks):
+            out.append(make_collection(t, [per_pair[k][c] for k, c in enumerate(choice)]))
     return tuple(out)
 
 

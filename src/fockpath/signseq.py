@@ -8,7 +8,9 @@ pairing machinery below is classical bracket matching on that path.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 
@@ -73,23 +75,47 @@ def match_pairs(openers: Iterable[int], closers: Iterable[int]) -> Matching:
     )
 
 
+def _lowest_and_final(openers: Iterable[int], closers: Iterable[int]) -> tuple[int, int]:
+    """Lowest and final level of the path of (openers, closers), read from
+    level 0; common elements take no part."""
+    a = frozenset(openers)
+    b = frozenset(closers)
+    level = lowest = 0
+    for p in sorted(a ^ b):
+        if p in a:
+            level += 1
+        else:
+            level -= 1
+            if level < lowest:
+                lowest = level
+    return lowest, level
+
+
 def onto(openers: Iterable[int], closers: Iterable[int]) -> bool:
     """True iff every prefix holds at least as many openers as closers.
 
     Equivalently: the matching leaves no closer unpaired, i.e. the path of
     the pair (openers, closers) never dips below its starting level.
     """
-    return not match_pairs(openers, closers).unpaired_closers
+    return _lowest_and_final(openers, closers)[0] == 0
 
 
 def bijective(openers: Iterable[int], closers: Iterable[int]) -> bool:
-    """True iff the matching pairs every element on both sides."""
-    m = match_pairs(openers, closers)
-    return not m.unpaired_openers and not m.unpaired_closers
+    """True iff the matching pairs every element on both sides: the path
+    never dips below its starting level and ends on it."""
+    return _lowest_and_final(openers, closers) == (0, 0)
 
 
 @dataclass(frozen=True)
 class SignSequence:
+    """Disjoint plus and minus positions.
+
+    Equality, hashing and repr are those of (plus, minus).  The sorted
+    positions, the generic path's prefix heights and the matching are
+    computed once per object, on first use (``cached_property`` writes the
+    instance ``__dict__``, which the frozen dataclass allows).
+    """
+
     plus: frozenset[int]
     minus: frozenset[int]
 
@@ -102,18 +128,43 @@ class SignSequence:
 
     # -- basic views ---------------------------------------------------
 
-    @property
+    @cached_property
     def positions(self) -> tuple[int, ...]:
         return tuple(sorted(self.plus | self.minus))
+
+    @cached_property
+    def prefix_heights(self) -> tuple[int, ...]:
+        """prefix_heights[k] is the level of the generic path after its
+        first k strokes; prefix_heights[0] = 0."""
+        heights = [0]
+        for p in self.positions:
+            heights.append(heights[-1] + (1 if p in self.plus else -1))
+        return tuple(heights)
 
     @property
     def size(self) -> int:
         """|plus| - |minus|; may be negative."""
         return len(self.plus) - len(self.minus)
 
+    def rank(self, position: int) -> int:
+        """1-based rank of a position; KeyError if it is none of t's."""
+        k = bisect_left(self.positions, position)
+        if k == len(self.positions) or self.positions[k] != position:
+            raise KeyError(position)
+        return k + 1
+
+    def height(self, x: int) -> int:
+        """Level of the generic path after every stroke at a position <= x,
+        i.e. the size of the positions <= x."""
+        return self.prefix_heights[bisect_right(self.positions, x)]
+
+    @cached_property
+    def _matching(self) -> Matching:
+        return match_pairs(self.plus, self.minus)
+
     def matching(self) -> Matching:
         """Bracket matching of the path: plus strokes open, minus close."""
-        return match_pairs(self.plus, self.minus)
+        return self._matching
 
     # -- derived sequences ----------------------------------------------
 
@@ -130,18 +181,21 @@ class SignSequence:
         include_upper: bool = False,
     ) -> "SignSequence":
         """Positions in (lower, upper), or (lower, upper] with include_upper."""
-
-        def keep(x: int) -> bool:
-            if lower is not None and x <= lower:
-                return False
-            if upper is not None and (x > upper or (x == upper and not include_upper)):
-                return False
-            return True
-
-        return SignSequence(
-            frozenset(x for x in self.plus if keep(x)),
-            frozenset(x for x in self.minus if keep(x)),
+        positions = self.positions
+        lo = 0 if lower is None else bisect_right(positions, lower)
+        if upper is None:
+            hi = len(positions)
+        else:
+            hi = (bisect_right if include_upper else bisect_left)(positions, upper)
+        window = positions[lo:hi]
+        plus = self.plus
+        out = SignSequence(
+            frozenset(x for x in window if x in plus),
+            frozenset(x for x in window if x not in plus),
         )
+        # The window is already sorted: spare the new sequence its sort.
+        out.__dict__["positions"] = window
+        return out
 
     def suffix(self, a: int) -> "SignSequence":
         """Positions strictly greater than a."""
@@ -164,11 +218,18 @@ def valley_set(t: SignSequence) -> frozenset[int]:
     """Minus positions whose strict suffix satisfies the prefix condition.
 
     These index the down-strokes at the bottoms of the path from which the
-    remainder of the path never dips lower.
+    remainder of the path never dips lower: read right to left, a minus
+    position is a valley iff no later prefix height is below its own.
     """
-    return frozenset(
-        v for v in t.minus if not match_pairs(t.suffix(v).plus, t.suffix(v).minus).unpaired_closers
-    )
+    positions, heights = t.positions, t.prefix_heights
+    out = []
+    lowest = heights[-1]
+    for k in range(len(positions), 0, -1):
+        if heights[k] <= lowest:
+            lowest = heights[k]
+            if positions[k - 1] in t.minus:
+                out.append(positions[k - 1])
+    return frozenset(out)
 
 
 def unpaired_plus(t: SignSequence) -> frozenset[int]:

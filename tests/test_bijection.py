@@ -154,3 +154,25 @@ def test_reaim_rejects_a_flattened_pair_past_the_new_closer():
     with pytest.raises(ConstructionError) as info:
         _reaim(NESTED_T, entries, 5, 4, "strip-truncation", NESTED_T, {1, 2}, {5})
     assert info.value.corner == "strip-truncation"
+
+
+def test_index_sets_ignore_the_container_and_repeat_exactly():
+    for t, a, b in list(iter_exhaustive_instances(5))[::7]:
+        lefts = left_elements(t, frozenset(a), frozenset(b))
+        rights = right_elements(t, frozenset(a), frozenset(b))
+        for make in (list, set, frozenset, sorted, tuple):
+            assert left_elements(t, make(a), make(b)) == lefts
+            assert right_elements(t, make(a), make(b)) == rights
+        # a copy of t with no cached fields gives the same sets
+        assert left_elements(SignSequence(t.plus, t.minus), a, b) == lefts
+        assert right_elements(SignSequence(t.plus, t.minus), a, b) == rights
+        assert left_elements(t, a, b) == lefts
+
+
+def test_index_sets_still_check_the_instance_on_repeated_calls():
+    t = SignSequence(frozenset({2}), frozenset({1}))
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            left_elements(t, [2], [])
+        with pytest.raises(ValueError):
+            right_elements(t, {1}, {2})

@@ -91,6 +91,16 @@ def test_paths_wellnested(capsys):
     assert sorted((rec["norm"] for rec in records), reverse=True) == [8, 6, 4]
 
 
+def test_paths_names_only_the_misplaced_columns(capsys):
+    code, out, err = run(
+        capsys, "paths", "--plus", "3,5,6", "--minus", "1,2,4",
+        "--add", "1,2", "--remove", "5,7",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: closers [7] are not plus positions"
+
+
 def test_oracle_coefficient(capsys):
     code, out, _ = run(capsys, "oracle", "--e", "2", "--mu", "2", "--lam", "1,1", "--json")
     assert code == 0

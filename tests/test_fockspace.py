@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from fockpath.fockspace import (
@@ -166,6 +168,24 @@ def test_cache_detects_corruption(tmp_path):
     # a fresh oracle silently drops the damaged file and recomputes
     recovered = CanonicalBasisOracle(3, cache_dir=tmp_path)
     assert recovered.element((3, 1)).vector == CanonicalBasisOracle(3).element((3, 1)).vector
+
+
+def test_corrupt_cache_level_is_reported_and_rebuilt(tmp_path):
+    path = CanonicalBasisOracle(2, cache_dir=tmp_path).save_level(5)
+    data = bytearray(open(path, "rb").read())
+    data[len(data) // 2] ^= 0xFF
+    with open(path, "wb") as fh:
+        fh.write(bytes(data))
+    oracle = CanonicalBasisOracle(2, cache_dir=tmp_path)
+    with pytest.warns(RuntimeWarning, match="canonical_e2_n5.jsonl"):
+        rebuilt = oracle.element((3, 2))
+    assert oracle.cache_discards == 1
+    assert rebuilt.vector == CanonicalBasisOracle(2).element((3, 2)).vector
+    # the level is read once per oracle: no second warning, no second discard
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oracle.element((4, 1))
+    assert oracle.cache_discards == 1
 
 
 def test_cache_missing_directory_is_created(tmp_path):

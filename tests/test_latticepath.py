@@ -1,3 +1,5 @@
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,11 +10,12 @@ from fockpath.latticepath import (
     is_well_nested,
     latticed_paths,
     latticed_paths_by_flattening,
+    make_collection,
     render_ascii,
     render_svg,
     well_nested_collections,
 )
-from fockpath.signseq import PairingError, SignSequence
+from fockpath.signseq import PairingError, SignSequence, match_pairs
 
 NINE_STEP = SignSequence(frozenset({2, 3, 5, 9}), frozenset({1, 4, 6, 7, 8}))
 
@@ -188,3 +191,44 @@ def test_render_svg_deterministic():
     svg = render_svg([path])
     assert svg == render_svg([path])
     assert svg.startswith("<svg") and svg.count("<polyline") == 1
+
+
+def test_wellnested_collections_match_the_filtered_product():
+    # every perfect matching of minus to plus positions on up to 7 positions
+    checked = 0
+    for k in range(1, 8):
+        for mask in range(2**k):
+            t = SignSequence(
+                frozenset(i + 1 for i in range(k) if mask >> i & 1),
+                frozenset(i + 1 for i in range(k) if not mask >> i & 1),
+            )
+            for r in range(1, 4):
+                openers = combinations(sorted(t.minus), r)
+                closers = list(combinations(sorted(t.plus), r))
+                for a, b in product(openers, closers):
+                    m = match_pairs(a, b)
+                    if m.unpaired_openers or m.unpaired_closers:
+                        continue
+                    per_pair = [
+                        [(u, w, p) for p in latticed_paths(t.between(u, w))] for u, w in m.pairs
+                    ]
+                    expected = tuple(
+                        make_collection(t, combo)
+                        for combo in product(*per_pair)
+                        if is_well_nested(t, combo)
+                    )
+                    assert well_nested_collections(t, a, b) == expected
+                    checked += 1
+    assert checked == 1800
+
+
+def test_wellnested_names_only_the_misplaced_columns():
+    t = SignSequence(frozenset({3, 5, 6}), frozenset({1, 2, 4}))
+    with pytest.raises(PairingError) as err:
+        well_nested_collections(t, {1, 2}, {5, 7})
+    assert str(err.value) == "closers [7] are not plus positions"
+    with pytest.raises(PairingError) as err:
+        well_nested_collections(t, {3, 4}, {5, 1})
+    assert str(err.value) == (
+        "openers [3] are not minus positions and closers [1] are not plus positions"
+    )

@@ -157,3 +157,109 @@ def test_preceq_is_a_partial_order_small():
             if not xs or not ys or len(xs) > 3 or len(ys) > 3:
                 continue
             check_partial_order(xs, ys)
+
+
+# -- the cached core against its definitional versions ----------------------
+
+
+def _all_contiguous(max_positions):
+    """Every sign sequence on 1..k for k <= max_positions, the empty one
+    included."""
+    yield SignSequence(frozenset(), frozenset())
+    for k in range(1, max_positions + 1):
+        for mask in range(2**k):
+            yield SignSequence(
+                frozenset(i + 1 for i in range(k) if mask >> i & 1),
+                frozenset(i + 1 for i in range(k) if not mask >> i & 1),
+            )
+
+
+def _seeded_scattered(count, seed=2011):
+    """Sign sequences on non-contiguous, possibly negative positions."""
+    import random
+
+    rng = random.Random(seed)
+    for _ in range(count):
+        positions = rng.sample(range(-15, 16), rng.randint(0, 12))
+        plus = frozenset(p for p in positions if rng.random() < 0.5)
+        yield SignSequence(plus, frozenset(positions) - plus)
+
+
+def _reference_valley_set(t):
+    return frozenset(
+        v for v in t.minus if not match_pairs(t.suffix(v).plus, t.suffix(v).minus).unpaired_closers
+    )
+
+
+def _reference_restrict(t, lower=None, upper=None, include_upper=False):
+    def keep(x):
+        if lower is not None and x <= lower:
+            return False
+        if upper is not None and (x > upper or (x == upper and not include_upper)):
+            return False
+        return True
+
+    return SignSequence(
+        frozenset(x for x in t.plus if keep(x)), frozenset(x for x in t.minus if keep(x))
+    )
+
+
+def test_valley_set_matches_suffix_matching_exhaustively():
+    sequences = list(_all_contiguous(10))
+    assert len(sequences) == 2047
+    for t in sequences:
+        assert valley_set(t) == _reference_valley_set(t)
+
+
+def test_valley_set_matches_suffix_matching_on_scattered_positions():
+    for t in _seeded_scattered(500):
+        assert valley_set(t) == _reference_valley_set(t)
+
+
+def test_restrict_views_and_heights_match_the_predicate_filter():
+    for t in list(_all_contiguous(6)) + list(_seeded_scattered(150)):
+        cuts = sorted({p + d for p in t.positions for d in (-1, 0, 1)} | {0})
+        for x in cuts:
+            assert t.suffix(x) == _reference_restrict(t, lower=x)
+            assert t.prefix(x) == _reference_restrict(t, upper=x)
+            assert t.height(x) == _reference_restrict(t, upper=x, include_upper=True).size
+            assert t.height(x) + t.suffix(x).size == t.size
+            for y in cuts:
+                assert t.between(x, y) == _reference_restrict(t, lower=x, upper=y)
+                assert t.half_open(x, y) == _reference_restrict(
+                    t, lower=x, upper=y, include_upper=True
+                )
+                window = t.half_open(x, y)
+                assert window.positions == tuple(sorted(window.plus | window.minus))
+                if x <= y:
+                    assert t.half_open(x, y).size == t.height(y) - t.height(x)
+
+
+def test_rank_and_prefix_heights_follow_the_positions():
+    t = SignSequence(frozenset({2, 3, 5, 9}), frozenset({1, 4, 6, 7, 8}))
+    assert [t.rank(p) for p in t.positions] == list(range(1, 10))
+    assert t.prefix_heights == (0, -1, 0, 1, 0, 1, 0, -1, -2, -1)
+    with pytest.raises(KeyError):
+        t.rank(10)
+
+
+@given(position_sets, position_sets)
+def test_onto_and_bijective_agree_with_the_matching(a, b):
+    m = match_pairs(a, b)
+    assert onto(a, b) == (not m.unpaired_closers)
+    assert bijective(a, b) == (not m.unpaired_openers and not m.unpaired_closers)
+
+
+def test_cached_fields_leave_equality_hash_and_repr_alone():
+    t = SignSequence(frozenset({2, 3, 5, 9}), frozenset({1, 4, 6, 7, 8}))
+    fresh = SignSequence(frozenset({2, 3, 5, 9}), frozenset({1, 4, 6, 7, 8}))
+    before = (hash(t), repr(t))
+    t.positions, t.prefix_heights, t.matching(), valley_set(t), t.between(1, 9)
+    assert set(vars(t)) > {"plus", "minus"}
+    assert (hash(t), repr(t)) == before == (hash(fresh), repr(fresh))
+    assert t == fresh and not t != fresh
+    assert repr(t) == f"SignSequence(plus={t.plus!r}, minus={t.minus!r})"
+    assert hash(t) == hash((t.plus, t.minus))
+    window = t.between(1, 9)
+    assert window == SignSequence(window.plus, window.minus)
+    assert hash(window) == hash((window.plus, window.minus))
