@@ -5,7 +5,7 @@ covered moves from a partition), paths (latticed paths / well-nested
 collections of a sign sequence), oracle (canonical-basis coefficients and
 the level cache), verify (the verification sweeps), render (path drawing).
 
-Exit codes: 0 success, 1 verification failure, 2 usage or scope error.
+Exit codes: 0 success, 1 verification failure, 2 usage, scope or file error.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .closedform import (
     detect_move,
     norm_polynomial,
 )
-from .fockspace import CacheError, ERegularError, get_oracle
+from .fockspace import get_oracle
 from .latticepath import (
     LatticedPath,
     latticed_paths,
@@ -38,10 +38,8 @@ USAGE_ERROR = 2
 VERIFY_ERROR = 1
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """A usage error found by a command; main reports it like a bad input."""
 
 
 def _parse_positions(text: str) -> frozenset[int]:
@@ -92,7 +90,7 @@ def cmd_decomp(args) -> int:
         if move is None:
             raise CliError(
                 "not covered by closed formula: the diagram difference is not a "
-                "single-residue move", USAGE_ERROR,
+                "single-residue move"
             )
     else:
         if args.r is None:
@@ -203,10 +201,7 @@ def cmd_oracle(args) -> int:
     if args.mu is None:
         raise CliError("need --mu (or --n to build a cache level)")
     mu = parse_partition(args.mu)
-    try:
-        element = oracle.element(mu)
-    except ERegularError as exc:
-        raise CliError(str(exc), USAGE_ERROR) from exc
+    element = oracle.element(mu)
     if args.lam is not None:
         lam = parse_partition(args.lam)
         poly = oracle.coefficient(lam, mu)
@@ -323,6 +318,13 @@ def cmd_render(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 
+def _count(text: str) -> int:
+    """A non-negative int, for the sweep budgets."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fockpath",
@@ -370,9 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
         "kind", choices=["formula", "branching", "bijection", "construction", "consistency"]
     )
     p.add_argument("--e", type=int, action="append")
-    p.add_argument("--max-n", type=int)
-    p.add_argument("--max-positions", type=int)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--max-n", type=_count)
+    p.add_argument("--max-positions", type=_count)
+    p.add_argument("--samples", type=_count)
     p.add_argument("--seed", type=int)
     p.add_argument("--cache")
     p.add_argument("--report", help="write one JSON line per bijection instance")
@@ -399,10 +401,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ValueError, CacheError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -8,6 +8,8 @@ is one plus the number of surviving diagonal strokes.
 A well-nested collection assigns one latticed path to each pair of a
 perfect matching; inner paths must never dip below outer ones when all
 paths are anchored on the generic path of the ambient sequence.
+Equivalently, every pair an inner path flattens is flattened by each path
+enclosing it.
 """
 
 from __future__ import annotations
@@ -244,9 +246,18 @@ def well_nested_collections(
 
     Requires a perfect matching (self-pairing of common elements allowed),
     with proper openers among t's minus positions and proper closers among
-    t's plus positions.  Exhaustive product of the per-window path sets,
-    filtered by the nesting condition; the all-generic collection is always
-    a member.
+    t's plus positions.  Exhaustive product of the per-window path sets in
+    pair order, filtered by the nesting condition; the all-generic
+    collection is always a member.
+
+    The nesting condition is tested as F_inner <= F_outer on flattened sets
+    (``is_well_nested`` keeps the height test).  Why they agree: bracket
+    matching is local, so an inner window's pairs are pairs of the outer
+    window.  The pairs covering a grid point x form a chain under nesting,
+    and a down-closed flattening lowers x by an innermost stretch of it; so
+    inner height >= outer height at x means the inner stretch lies inside
+    the outer one.  Each inner pair covers its own opener's rank, so that
+    holds at every x exactly when F_inner <= F_outer.
     """
     a = frozenset(openers)
     b = frozenset(closers)
@@ -266,35 +277,18 @@ def well_nested_collections(
             f"unpaired {sorted(m.unpaired_openers | m.unpaired_closers)}"
         )
     pairs = m.all_pairs()
-    per_pair: list[list[tuple[int, int, LatticedPath]]] = []
-    for u, w in pairs:
-        if u == w:
-            per_pair.append([(u, w, LatticedPath.empty())])
-        else:
-            per_pair.append([(u, w, p) for p in latticed_paths(t.between(u, w))])
-    # Each nesting relation, as (outer index, inner index, compatible option
-    # index pairs), decided once from the profiles instead of per combination.
-    index = {pair: k for k, pair in enumerate(pairs)}
-    profiles = [
-        [path_profile(t, (u, w), path) for u, w, path in options if u != w]
-        for options in per_pair
+    per_pair = [
+        [(u, w, LatticedPath.empty())] if u == w
+        else [(u, w, p) for p in latticed_paths(t.between(u, w))]
+        for u, w in pairs
     ]
-    checks = []
-    for outer, inner in nested_pair_relations(pairs):
-        i, j = index[outer], index[inner]
-        compatible = frozenset(
-            (p, q)
-            for p, po in enumerate(profiles[i])
-            for q, pi in enumerate(profiles[j])
-            if all(h >= po[x] for x, h in pi.items())
-        )
-        checks.append((i, j, compatible))
-
-    out = []
-    for choice in product(*(range(len(options)) for options in per_pair)):
-        if all((choice[i], choice[j]) in compatible for i, j, compatible in checks):
-            out.append(make_collection(t, [per_pair[k][c] for k, c in enumerate(choice)]))
-    return tuple(out)
+    index = {pair: k for k, pair in enumerate(pairs)}
+    relations = [(index[outer], index[inner]) for outer, inner in nested_pair_relations(pairs)]
+    return tuple(
+        make_collection(t, combo)
+        for combo in product(*per_pair)
+        if all(combo[j][2].flattened <= combo[i][2].flattened for i, j in relations)
+    )
 
 
 def is_valid_path(path: LatticedPath) -> bool:

@@ -29,6 +29,7 @@ from .closedform import (
     decomposition_paths,
     decomposition_polynomial,
     delete_first_row,
+    norm_polynomial,
     sign_sequence_of,
 )
 from .fockspace import (
@@ -38,6 +39,7 @@ from .fockspace import (
     get_oracle,
     is_e_regular,
 )
+from .latticepath import WellNestedCollection
 from .laurent import ZERO, LaurentPolynomial
 from .partitions import boundary_nodes, partitions_of
 from .signseq import SignSequence, onto
@@ -74,7 +76,6 @@ class SweepReport:
 class FormulaSweepConfig:
     budgets: tuple[tuple[int, int], ...] = ((2, 12), (3, 10), (4, 9))
     cache_dir: str | None = None
-    check_shapes: bool = True
 
 
 def run_formula_sweep(cfg: FormulaSweepConfig) -> SweepReport:
@@ -92,7 +93,8 @@ def run_formula_sweep(cfg: FormulaSweepConfig) -> SweepReport:
                 for r in range(e):
                     for a, b in column_sets(sign_sequence_of(lam, e, r), 0):
                         move = MoveSpec(lam, e, r, frozenset(a), frozenset(b))
-                        formula = decomposition_polynomial(move)
+                        collections = decomposition_paths(move)
+                        formula = norm_polynomial(collections)
                         target = move.target
                         d = oracle.coefficient(target, lam)
                         report.checked += 1
@@ -104,13 +106,17 @@ def run_formula_sweep(cfg: FormulaSweepConfig) -> SweepReport:
                             continue
                         if formula:
                             nonzero += 1
-                        if cfg.check_shapes:
-                            _check_shape(report, move, formula)
+                        _check_shape(report, move, formula, collections)
     report.notes["nonzero"] = nonzero
     return report
 
 
-def _check_shape(report: SweepReport, move: MoveSpec, poly: LaurentPolynomial) -> None:
+def _check_shape(
+    report: SweepReport,
+    move: MoveSpec,
+    poly: LaurentPolynomial,
+    collections: tuple[WellNestedCollection, ...],
+) -> None:
     effective = move.added - move.removed
     if move.is_identity:
         if poly != 1:
@@ -126,7 +132,6 @@ def _check_shape(report: SweepReport, move: MoveSpec, poly: LaurentPolynomial) -
     if poly.min_exponent < len(effective):
         report.fail(kind="low-degree", lam=list(move.lam), e=move.e, r=move.r,
                     A=sorted(move.added), B=sorted(move.removed), poly=str(poly))
-    collections = decomposition_paths(move)
     top = max(c.norm for c in collections)
     if poly.max_exponent != top or poly.coefficient(top) != 1:
         report.fail(kind="top-degree", lam=list(move.lam), e=move.e, r=move.r,

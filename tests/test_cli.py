@@ -124,7 +124,8 @@ def test_oracle_cache_roundtrip(capsys, tmp_path):
     data = bytearray(open(path, "rb").read())
     data[len(data) // 2] ^= 0xFF
     open(path, "wb").write(bytes(data))
-    code, out, _ = run(capsys, "oracle", "--e", "2", "--n", "5", "--cache", cache, "--json")
+    with pytest.warns(RuntimeWarning, match="canonical_e2_n5.jsonl"):
+        code, out, _ = run(capsys, "oracle", "--e", "2", "--n", "5", "--cache", cache, "--json")
     assert code == 0
     assert json.loads(out)["roundtrip"] == "ok"
 
@@ -268,3 +269,31 @@ def test_verify_keeps_an_explicit_zero(capsys):
     report = json.loads(out)
     assert report["checked"] == 5
     assert report["notes"]["sampled"] == 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("render", "--plus", "2", "--minus", "1", "--out", "{missing}/x.txt"),
+        ("verify", "bijection", "--max-positions", "2", "--samples", "1",
+         "--report", "{missing}/r.jsonl"),
+        ("oracle", "--e", "2", "--n", "2", "--cache", "{regular}"),
+    ],
+    ids=["render-out", "verify-report", "oracle-cache-is-a-file"],
+)
+def test_os_errors_are_usage_errors(capsys, tmp_path, argv):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    paths = {"missing": tmp_path / "missing", "regular": regular}
+    code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag", ["--max-n", "--max-positions", "--samples"])
+def test_verify_rejects_a_negative_budget(capsys, flag):
+    code, out, err = run(capsys, "verify", "formula", flag, "-3")
+    assert code == 2
+    assert out == ""
+    assert "non-negative" in err

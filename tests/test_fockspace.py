@@ -165,9 +165,10 @@ def test_cache_detects_corruption(tmp_path):
     cache = OracleCache(tmp_path)
     with pytest.raises(CacheError):
         cache.load(3, 4)
-    # a fresh oracle silently drops the damaged file and recomputes
+    # a fresh oracle warns, drops the damaged file and recomputes
     recovered = CanonicalBasisOracle(3, cache_dir=tmp_path)
-    assert recovered.element((3, 1)).vector == CanonicalBasisOracle(3).element((3, 1)).vector
+    with pytest.warns(RuntimeWarning, match="checksum mismatch"):
+        assert recovered.element((3, 1)).vector == CanonicalBasisOracle(3).element((3, 1)).vector
 
 
 def test_corrupt_cache_level_is_reported_and_rebuilt(tmp_path):

@@ -232,3 +232,35 @@ def test_wellnested_names_only_the_misplaced_columns():
     assert str(err.value) == (
         "openers [3] are not minus positions and closers [1] are not plus positions"
     )
+
+
+def test_wellnested_collections_with_a_self_paired_column():
+    # one column both opened and closed, next to every perfect matching of
+    # up to three minus positions to plus positions, on up to 8 positions
+    checked = 0
+    for k in range(1, 9):
+        for mask in range(2**k):
+            t = SignSequence(
+                frozenset(i + 1 for i in range(k) if mask >> i & 1),
+                frozenset(i + 1 for i in range(k) if not mask >> i & 1),
+            )
+            for c in t.positions:
+                minus, plus = sorted(t.minus - {c}), sorted(t.plus - {c})
+                for r in range(1, 4):
+                    for a, b in product(combinations(minus, r), combinations(plus, r)):
+                        m = match_pairs({c, *a}, {c, *b})
+                        if m.unpaired_openers or m.unpaired_closers:
+                            continue
+                        per_pair = [
+                            [(u, w, LatticedPath.empty())] if u == w
+                            else [(u, w, p) for p in latticed_paths(t.between(u, w))]
+                            for u, w in m.all_pairs()
+                        ]
+                        expected = tuple(
+                            make_collection(t, combo)
+                            for combo in product(*per_pair)
+                            if is_well_nested(t, combo)
+                        )
+                        assert well_nested_collections(t, {c, *a}, {c, *b}) == expected
+                        checked += 1
+    assert checked == 27456
