@@ -2,7 +2,8 @@
 """Run every verification sweep at full acceptance budgets and summarise.
 
 Equivalent to the CLI `fockpath verify ...` invocations, collected in one
-place; exits nonzero if any sweep reports a failure.
+place; exits nonzero if any sweep reports a failure.  --deep adds a formula
+sweep at sweeps.DEEP_FORMULA_BUDGETS after the default sweeps.
 """
 
 import argparse
@@ -17,6 +18,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cache", help="oracle cache directory")
     parser.add_argument("--json", action="store_true")
+    parser.add_argument("--deep", action="store_true",
+                        help="also run the deep formula-vs-oracle budgets")
     args = parser.parse_args()
 
     # The acceptance budgets are the config dataclasses' defaults.
@@ -31,6 +34,10 @@ def main() -> int:
         ("consistency", lambda: sweeps.run_consistency_sweep(
             sweeps.ConsistencySweepConfig())),
     ]
+    if args.deep:
+        runs.append(("formula-deep", lambda: sweeps.run_formula_sweep(
+            sweeps.FormulaSweepConfig(budgets=sweeps.DEEP_FORMULA_BUDGETS,
+                                      cache_dir=args.cache))))
 
     all_ok = True
     results = []

@@ -256,13 +256,11 @@ def cmd_verify(args) -> int:
         report = sweeps.run_construction_sweep(
             sweeps.ConstructionSweepConfig(**_given(max_positions=args.max_positions))
         )
-    elif kind == "consistency":
+    else:  # consistency; argparse restricts the kinds
         e_values = tuple(args.e) if args.e else None
         report = sweeps.run_consistency_sweep(
             sweeps.ConsistencySweepConfig(**_given(e_values=e_values, max_n=args.max_n))
         )
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown verify kind {kind}")
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))
     else:
@@ -302,10 +300,8 @@ def cmd_render(args) -> int:
         raise CliError(f"--flatten must name matched pairs of the window; pairs are {sorted(pairs)}")
     if args.format == "ascii":
         text = render_ascii(path, overlay=args.overlay)
-    elif args.format == "svg":
+    else:  # svg; argparse restricts the formats
         text = render_svg([path])
-    else:
-        raise CliError(f"unknown format {args.format}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -8,24 +8,28 @@ to the right) minus (removable r-nodes strictly to the right).
 
 The oracle computes the canonical basis element G(mu) for e-regular mu:
 seed with the ladder monomial applied to the vacuum (a bar-invariant
-vector equal to mu plus dominated terms), then repeatedly strip the
-bar-symmetric part of the dominance-maximal offending coefficient using
-previously computed canonical elements, until every off-diagonal
-coefficient lies in v*N0[v].
+vector equal to mu plus dominated terms), then strip the bar-symmetric
+part of each offending coefficient using previously computed canonical
+elements, until every off-diagonal coefficient lies in v*N0[v].  One pass
+in decreasing lexicographic order does it: the lexicographically largest
+offending partition is always dominance-maximal.  Divided powers f_r^(k)
+come from their closed form, one weighted term per k-set of indent r-nodes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import os
 import tempfile
 import threading
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from itertools import combinations
+from typing import Iterator, Mapping
 
-from .laurent import LaurentPolynomial, ZERO, exact_divide, quantum_factorial
+from .laurent import LaurentPolynomial, ZERO
 from .partitions import (
     Partition,
     add_cell,
@@ -129,28 +133,47 @@ class FockVector:
 
 def apply_f(x: FockVector, e: int, r: int) -> FockVector:
     """Linear extension of the indent-node-adding operator of residue r."""
-    out: dict[Partition, LaurentPolynomial] = {}
-    for lam, coeff in x.items():
-        removable, indent = boundary_nodes(lam, e, r)
-        removable_cols = [n[1] for n in removable]
-        for idx, node in enumerate(indent):
-            col = node[1]
-            n_right = (len(indent) - idx - 1) - sum(1 for c in removable_cols if c > col)
-            mu = add_cell(lam, node)
-            term = coeff * LaurentPolynomial.monomial(n_right)
-            out[mu] = out.get(mu, ZERO) + term
-    return FockVector(out)
+    return _add_indent_nodes(x, e, r, 1)
 
 
 def apply_f_divided(x: FockVector, e: int, r: int, k: int) -> FockVector:
-    """k-fold application of f_r divided exactly by [k]!."""
+    """The divided power f_r^(k) = f_r^k / [k]!, in closed form.
+
+    Adding an r-node leaves every other r-node indent or removable as it
+    was, so f_r^k adds each k-set S of indent r-nodes once per order.  Each
+    pair of nodes of S contributes v^(+1) or v^(-1) by which comes first,
+    and over the k! orders those factors sum to [k]!.  What is left is the
+    order-free weight of ``_add_indent_nodes`` (Lascoux-Leclerc-Thibon,
+    CMP 181, 1996, section 4), so no division is needed.
+    """
     if k < 1:
         raise ValueError("divided power needs k >= 1")
-    y = x
-    for _ in range(k):
-        y = apply_f(y, e, r)
-    fact = quantum_factorial(k)
-    return FockVector({p: exact_divide(c, fact) for p, c in y.items()})
+    return _add_indent_nodes(x, e, r, k)
+
+
+def _add_indent_nodes(x: FockVector, e: int, r: int, k: int) -> FockVector:
+    """Add every k-set S of indent r-nodes to each partition of x, shifting
+    its coefficient by the sum over gamma in S of (indent r-nodes not in S
+    to the right of gamma) minus (removable r-nodes to the right of gamma)."""
+    out: dict[Partition, dict[int, int]] = {}
+    for lam, coeff in x._terms.items():
+        removable, indent = boundary_nodes(lam, e, r)
+        # weight of adding indent[i] alone: indent minus removable to its right
+        alone = [
+            len(indent) - i - 1 - sum(1 for node in removable if node[1] > col)
+            for i, (_, col) in enumerate(indent)
+        ]
+        terms = list(coeff.items())
+        for subset in combinations(range(len(indent)), k):
+            # the j-th node of S from the right loses j nodes of S from its count
+            exponent = sum(alone[i] for i in subset) - k * (k - 1) // 2
+            mu = lam
+            for i in subset:
+                mu = add_cell(mu, indent[i])
+            acc = out.setdefault(mu, {})
+            for exp, c in terms:
+                acc[exp + exponent] = acc.get(exp + exponent, 0) + c
+    return FockVector({mu: LaurentPolynomial(acc) for mu, acc in out.items()})
 
 
 @dataclass(frozen=True)
@@ -196,20 +219,18 @@ class CanonicalBasisElement:
         return self.vector.coefficient(lam)
 
 
-def _dominance_maximal(candidates: Iterable[Partition]) -> Partition:
-    pool = list(candidates)
-    maximal = [
-        p for p in pool if not any(q != p and dominates(q, p) for q in pool)
-    ]
-    return max(maximal)  # deterministic tie-break: lexicographically largest
+def _descending(p: Partition) -> tuple[int, ...]:
+    """Heap key that pops partitions of one size in decreasing
+    lexicographic order."""
+    return tuple(-part for part in p)
 
 
 class CanonicalBasisOracle:
     """Memoised canonical-basis computation for a fixed modulus e.
 
-    The memo table and ``cache_discards`` (corrupt cache levels dropped and
-    recomputed) are the only mutable state; a re-entrant lock serialises
-    writes so concurrent callers each see every (e, mu) computed once.
+    The memo table and the counters that ``stats`` reports are the only
+    mutable state; a re-entrant lock serialises them so concurrent callers
+    each see every (e, mu) computed once.
     """
 
     def __init__(self, e: int, cache_dir: str | os.PathLike | None = None):
@@ -218,7 +239,24 @@ class CanonicalBasisOracle:
         self._lock = threading.RLock()
         self._cache = OracleCache(cache_dir) if cache_dir else None
         self._loaded_levels: set[int] = set()
+        self.memo_hits = 0
+        self.computed = 0
+        self.levels_loaded = 0
+        self.levels_missing = 0
         self.cache_discards = 0
+
+    def stats(self) -> dict[str, int]:
+        """What the oracle did so far: memo size and hits, elements computed
+        by elimination, and cache levels loaded, missing and discarded."""
+        with self._lock:
+            return {
+                "memo_size": len(self._memo),
+                "memo_hits": self.memo_hits,
+                "computed": self.computed,
+                "levels_loaded": self.levels_loaded,
+                "levels_missing": self.levels_missing,
+                "cache_discards": self.cache_discards,
+            }
 
     def element(self, mu: Partition) -> CanonicalBasisElement:
         mu = check_partition(mu)
@@ -241,29 +279,46 @@ class CanonicalBasisOracle:
 
     def _compute(self, mu: Partition) -> FockVector:
         if mu in self._memo:
+            self.memo_hits += 1
             return self._memo[mu]
-        vec = ladder_monomial(mu, self.e).apply_to_vacuum()
-        if vec.coefficient(mu) != 1:
+        seed = ladder_monomial(mu, self.e).apply_to_vacuum()
+        if seed.coefficient(mu) != 1:
             raise UnitriangularityError(
-                f"ladder seed of {mu} has diagonal coefficient {vec.coefficient(mu)}"
+                f"ladder seed of {mu} has diagonal coefficient {seed.coefficient(mu)}"
             )
-        while True:
-            offending = [
-                p
-                for p, c in vec.items()
-                if p != mu and any(exp <= 0 for exp, _ in c.items())
-            ]
-            if not offending:
-                break
-            nu = _dominance_maximal(offending)
+        # If q dominates p and q != p, the first part where they differ is
+        # larger in q, so q > p lexicographically.  Each pivot nu therefore
+        # changes only coefficients lexicographically below it (G(nu) lives on
+        # partitions nu dominates), and one pass in decreasing lexicographic
+        # order meets the offending partitions in the order that repeatedly
+        # taking the lexicographically largest, hence dominance-maximal, one
+        # would.  Heap keys are negated parts: partitions of one size are
+        # never prefixes of each other.
+        coeffs = dict(seed._terms)
+        pending = [(_descending(p), p) for p in coeffs]
+        heapq.heapify(pending)
+        while pending:
+            _, nu = heapq.heappop(pending)
+            c = coeffs[nu]
+            if nu == mu or not c or c.min_exponent > 0:
+                continue
             if not is_e_regular(nu, self.e):
                 raise UnitriangularityError(
                     f"elimination for {mu} hit the {self.e}-singular pivot {nu}"
                 )
-            symmetric, _ = vec.coefficient(nu).symmetric_split()
-            vec = vec - self._compute(nu).scale(symmetric)
+            symmetric, _ = c.symmetric_split()
+            for p, cp in self._compute(nu)._terms.items():
+                if p > nu:
+                    raise UnitriangularityError(
+                        f"support of G({nu}) contains {p}, lexicographically above it"
+                    )
+                if p not in coeffs:
+                    heapq.heappush(pending, (_descending(p), p))
+                coeffs[p] = coeffs.get(p, ZERO) - cp * symmetric
+        vec = FockVector(coeffs)
         self._check_element(mu, vec)
         self._memo[mu] = vec
+        self.computed += 1
         return vec
 
     def _check_element(self, mu: Partition, vec: FockVector) -> None:
@@ -290,6 +345,7 @@ class CanonicalBasisOracle:
         try:
             records = self._cache.load(self.e, n)
         except FileNotFoundError:
+            self.levels_missing += 1
             return
         except CacheError as exc:
             # corrupt file: drop it and recompute, but say so
@@ -303,6 +359,7 @@ class CanonicalBasisOracle:
             return
         for mu, vec in records.items():
             self._memo[mu] = vec
+        self.levels_loaded += 1
 
     def save_level(self, n: int) -> str:
         """Compute every e-regular element of size n and write the level file."""
@@ -454,15 +511,16 @@ def expand_in_canonical(
 ) -> dict[Partition, LaurentPolynomial]:
     """Write x as a combination of canonical basis elements.
 
-    Gaussian from the top: the dominance-maximal support member must be the
-    label of a canonical element, so its coefficient is final.  Raises
+    Gaussian from the top: the lexicographically largest, hence
+    dominance-maximal, support member must be the label of a canonical
+    element, so its coefficient is final.  Raises
     SingularPivotError when a needed label is e-singular.
     """
     oracle = oracle or get_oracle(e)
     rem = dict(x.items())
     out: dict[Partition, LaurentPolynomial] = {}
     while rem:
-        sigma = _dominance_maximal(rem)
+        sigma = max(rem)
         c = rem[sigma]
         if not is_e_regular(sigma, e):
             raise SingularPivotError(f"expansion pivot {sigma} is {e}-singular")

@@ -78,14 +78,19 @@ class FormulaSweepConfig:
     cache_dir: str | None = None
 
 
+# A deeper formula-vs-oracle tier, run after the default budgets.
+DEEP_FORMULA_BUDGETS = ((2, 20), (3, 18), (4, 16), (5, 16))
+
+
 def run_formula_sweep(cfg: FormulaSweepConfig) -> SweepReport:
     """Every e-regular partition within budget, every residue, every pair of
     same-size column sets: the closed formula must equal the oracle
     coefficient exactly (0 when the matching is imperfect)."""
     report = SweepReport(kind="formula")
     nonzero = 0
+    oracles = {}
     for e, max_n in cfg.budgets:
-        oracle = get_oracle(e, cfg.cache_dir)
+        oracle = oracles[e] = get_oracle(e, cfg.cache_dir)
         for n in range(max_n + 1):
             for lam in partitions_of(n):
                 if not is_e_regular(lam, e):
@@ -108,7 +113,13 @@ def run_formula_sweep(cfg: FormulaSweepConfig) -> SweepReport:
                             nonzero += 1
                         _check_shape(report, move, formula, collections)
     report.notes["nonzero"] = nonzero
+    report.notes["oracle"] = _oracle_stats(oracles)
     return report
+
+
+def _oracle_stats(oracles: dict) -> dict:
+    """Each modulus's oracle counters, keyed by e as JSON keys are."""
+    return {str(e): oracle.stats() for e, oracle in oracles.items()}
 
 
 def _check_shape(
@@ -177,8 +188,9 @@ def run_branching_sweep(cfg: BranchingSweepConfig) -> SweepReport:
     skipped (only regular targets are extractable)."""
     report = SweepReport(kind="branching")
     blocked = 0
+    oracles = {}
     for e, max_n in cfg.budgets:
-        oracle = get_oracle(e, cfg.cache_dir)
+        oracle = oracles[e] = get_oracle(e, cfg.cache_dir)
         for n in range(max_n + 1):
             for lam in partitions_of(n):
                 if not is_e_regular(lam, e):
@@ -204,6 +216,7 @@ def run_branching_sweep(cfg: BranchingSweepConfig) -> SweepReport:
                                 formula=str(formula), extracted=str(extracted),
                             )
     report.notes["blocked"] = blocked
+    report.notes["oracle"] = _oracle_stats(oracles)
     return report
 
 

@@ -297,3 +297,31 @@ def test_verify_rejects_a_negative_budget(capsys, flag):
     assert code == 2
     assert out == ""
     assert "non-negative" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("render", "--plus", "2", "--minus", "1", "--format", "png"),
+        ("verify", "everything"),
+    ],
+    ids=["render-format", "verify-kind"],
+)
+def test_unknown_choices_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "invalid choice" in err
+
+
+@pytest.mark.parametrize("kind", ["formula", "branching"])
+def test_verify_reports_oracle_stats(capsys, kind):
+    code, out, _ = run(capsys, "verify", kind, "--e", "3", "--max-n", "4", "--json")
+    assert code == 0
+    stats = json.loads(out)["notes"]["oracle"]
+    assert set(stats) == {"3"}
+    assert set(stats["3"]) == {
+        "memo_size", "memo_hits", "computed", "levels_loaded", "levels_missing",
+        "cache_discards",
+    }
+    assert stats["3"]["memo_size"] > 1

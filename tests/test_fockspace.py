@@ -1,3 +1,7 @@
+import hashlib
+import random
+import sys
+import threading
 import warnings
 
 import pytest
@@ -8,6 +12,7 @@ from fockpath.fockspace import (
     ERegularError,
     FockVector,
     OracleCache,
+    UnitriangularityError,
     apply_f,
     apply_f_divided,
     canonical_basis,
@@ -17,8 +22,8 @@ from fockpath.fockspace import (
     ladder_monomial,
     oracle_coefficient,
 )
-from fockpath.laurent import LaurentPolynomial, ONE
-from fockpath.partitions import boundary_nodes, partitions_of
+from fockpath.laurent import LaurentPolynomial, ONE, exact_divide, quantum_factorial
+from fockpath.partitions import boundary_nodes, dominates, partitions_of
 
 V = LaurentPolynomial.variable()
 
@@ -61,6 +66,124 @@ def test_divided_power_division_is_exact():
                 for r in range(e):
                     for k in (2, 3):
                         apply_f_divided(FockVector.basis(lam), e, r, k)
+
+
+def kfold_divided(x, e, r, k):
+    """Reference divided power: f_r applied k times, then divided by [k]!."""
+    for _ in range(k):
+        x = apply_f(x, e, r)
+    fact = quantum_factorial(k)
+    return FockVector({p: exact_divide(c, fact) for p, c in x.items()})
+
+
+def test_closed_form_divided_power_matches_kfold_on_basis_vectors():
+    cases = 0
+    for e in (2, 3, 4):
+        for n in range(11):
+            for lam in partitions_of(n):
+                x = FockVector.basis(lam)
+                for r in range(e):
+                    for k in range(1, 5):
+                        assert apply_f_divided(x, e, r, k) == kfold_divided(x, e, r, k), (
+                            e, lam, r, k)
+                        cases += 1
+    assert cases == 5004
+
+
+def test_closed_form_divided_power_matches_kfold_on_canonical_elements():
+    oracle = CanonicalBasisOracle(2)
+    for n in range(9):
+        for mu in partitions_of(n):
+            if not is_e_regular(mu, 2):
+                continue
+            g = oracle.element(mu).vector
+            for r in range(2):
+                for k in range(1, 4):
+                    assert apply_f_divided(g, 2, r, k) == kfold_divided(g, 2, r, k), (mu, r, k)
+
+
+def test_lexicographic_order_extends_dominance():
+    for n in range(13):
+        parts = partitions_of(n)
+        for p in parts:
+            for q in parts:
+                if q != p and dominates(q, p):
+                    assert q > p, (q, p)
+
+
+def test_saved_levels_keep_their_bytes(tmp_path):
+    digest = hashlib.sha256()
+    for e, max_n in ((2, 12), (3, 10)):
+        oracle = CanonicalBasisOracle(e, cache_dir=tmp_path)
+        for n in range(max_n + 1):
+            with open(oracle.save_level(n), "rb") as fh:
+                digest.update(fh.read())
+    assert digest.hexdigest() == (
+        "1b8a23c692165c84d0a26967273236c447c9be028edde672d7e5c6b3abc29ef9"
+    )
+
+
+def test_elimination_rejects_a_pivot_supported_above_itself():
+    # G((5,)) at e=2 strips the pivot (3, 2); plant a lexicographically
+    # larger term in the memoised G((3, 2)).
+    oracle = CanonicalBasisOracle(2)
+    planted = oracle.element((3, 2)).vector + FockVector.basis((4, 1)).scale(V)
+    oracle._memo[(3, 2)] = planted
+    with pytest.raises(UnitriangularityError, match="lexicographically above"):
+        oracle.element((5,))
+
+
+def test_threads_sharing_an_oracle_get_the_serial_vectors():
+    labels = [mu for n in range(11) for mu in partitions_of(n) if is_e_regular(mu, 2)]
+    serial = CanonicalBasisOracle(2)
+    expected = {mu: serial.element(mu).vector for mu in labels}
+    shared = CanonicalBasisOracle(2)
+    orders = [labels, labels[::-1]]
+    for seed in (1, 2):
+        order = list(labels)
+        random.Random(seed).shuffle(order)
+        orders.append(order)
+    results = [None] * len(orders)
+    errors = []
+
+    def request(slot, order):
+        try:
+            results[slot] = {mu: shared.element(mu).vector for mu in order}
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=request, args=item) for item in enumerate(orders)]
+    assert len(threads) == 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for got in results:
+        assert got == expected
+    # the lock lets no element be computed twice
+    assert shared.stats()["computed"] == serial.stats()["computed"]
+
+
+def test_oracle_stats_count_memo_hits_and_cache_levels(tmp_path):
+    CanonicalBasisOracle(2, cache_dir=tmp_path).save_level(5)
+    oracle = CanonicalBasisOracle(2, cache_dir=tmp_path)
+    oracle.element((3, 2))
+    first = oracle.stats()
+    assert first["levels_loaded"] == 1 and first["computed"] == 0
+    oracle.element((3, 2))
+    assert oracle.stats()["memo_hits"] == first["memo_hits"] + 1
+    oracle.element((4, 2))
+    stats = oracle.stats()
+    assert stats["levels_missing"] == 1 and stats["computed"] >= 1
+    assert stats["cache_discards"] == 0
+    assert stats["memo_size"] == len(oracle._memo)
 
 
 def test_ladder_monomials():
