@@ -5,7 +5,8 @@ covered moves from a partition), paths (latticed paths / well-nested
 collections of a sign sequence), oracle (canonical-basis coefficients and
 the level cache), verify (the verification sweeps), render (path drawing).
 
-Exit codes: 0 success, 1 verification failure, 2 usage, scope or file error.
+Exit codes: 0 success, 1 verification failure, 2 usage, scope or file error,
+3 a broken invariant of the oracle or of exact arithmetic (a bug).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .closedform import (
     detect_move,
     norm_polynomial,
 )
-from .fockspace import get_oracle
+from .fockspace import UnitriangularityError, get_oracle
 from .latticepath import (
     LatticedPath,
     latticed_paths,
@@ -30,12 +31,14 @@ from .latticepath import (
     render_svg,
     well_nested_collections,
 )
+from .laurent import DivisibilityError
 from .partitions import check_e, format_partition, parse_partition
 from .signseq import SignSequence
 from . import sweeps
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+INVARIANT_ERROR = 3
 
 
 class CliError(ValueError):
@@ -400,6 +403,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except (UnitriangularityError, DivisibilityError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return INVARIANT_ERROR
 
 
 if __name__ == "__main__":

@@ -8,12 +8,14 @@ to the right) minus (removable r-nodes strictly to the right).
 
 The oracle computes the canonical basis element G(mu) for e-regular mu:
 seed with the ladder monomial applied to the vacuum (a bar-invariant
-vector equal to mu plus dominated terms), then strip the bar-symmetric
-part of each offending coefficient using previously computed canonical
-elements, until every off-diagonal coefficient lies in v*N0[v].  One pass
-in decreasing lexicographic order does it: the lexicographically largest
-offending partition is always dominance-maximal.  Divided powers f_r^(k)
-come from their closed form, one weighted term per k-set of indent r-nodes.
+vector equal to mu plus dominated terms; each seed is one divided power
+applied to the stored seed of its ladder prefix), then strip the
+bar-symmetric part of each offending coefficient using previously computed
+canonical elements, until every off-diagonal coefficient lies in v*N0[v].
+One pass in decreasing lexicographic order does it: the lexicographically
+largest offending partition is always dominance-maximal.  Divided powers
+f_r^(k) come from their closed form, one weighted term per k-set of indent
+r-nodes.
 """
 
 from __future__ import annotations
@@ -54,7 +56,8 @@ class UnitriangularityError(RuntimeError):
 
 
 class CacheError(IOError):
-    """An oracle cache file is missing a valid checksum or is malformed."""
+    """An oracle cache file is missing a valid checksum, is malformed, or
+    holds a record that breaks a canonical-basis invariant."""
 
 
 def is_e_regular(p: Partition, e: int) -> bool:
@@ -236,6 +239,10 @@ class CanonicalBasisOracle:
     def __init__(self, e: int, cache_dir: str | os.PathLike | None = None):
         self.e = check_e(e)
         self._memo: dict[Partition, FockVector] = {(): FockVector.basis(())}
+        # ladder seeds by step tuple; each extends the seed of its prefix
+        self._seeds: dict[tuple[tuple[int, int], ...], FockVector] = {
+            (): FockVector.basis(())
+        }
         self._lock = threading.RLock()
         self._cache = OracleCache(cache_dir) if cache_dir else None
         self._loaded_levels: set[int] = set()
@@ -281,7 +288,7 @@ class CanonicalBasisOracle:
         if mu in self._memo:
             self.memo_hits += 1
             return self._memo[mu]
-        seed = ladder_monomial(mu, self.e).apply_to_vacuum()
+        seed = self._seed(ladder_monomial(mu, self.e).steps)
         if seed.coefficient(mu) != 1:
             raise UnitriangularityError(
                 f"ladder seed of {mu} has diagonal coefficient {seed.coefficient(mu)}"
@@ -307,6 +314,7 @@ class CanonicalBasisOracle:
                     f"elimination for {mu} hit the {self.e}-singular pivot {nu}"
                 )
             symmetric, _ = c.symmetric_split()
+            strip = -symmetric
             for p, cp in self._compute(nu)._terms.items():
                 if p > nu:
                     raise UnitriangularityError(
@@ -314,17 +322,31 @@ class CanonicalBasisOracle:
                     )
                 if p not in coeffs:
                     heapq.heappush(pending, (_descending(p), p))
-                coeffs[p] = coeffs.get(p, ZERO) - cp * symmetric
+                coeffs[p] = coeffs.get(p, ZERO) + cp * strip
         vec = FockVector(coeffs)
         self._check_element(mu, vec)
         self._memo[mu] = vec
         self.computed += 1
         return vec
 
+    def _seed(self, steps: tuple[tuple[int, int], ...]) -> FockVector:
+        """The ladder monomial with these steps applied to the vacuum: the
+        longest stored prefix, extended one divided power at a time, keeping
+        every new prefix.  Equal to ``LadderMonomial.apply_to_vacuum``."""
+        start = len(steps)
+        while steps[:start] not in self._seeds:
+            start -= 1
+        x = self._seeds[steps[:start]]
+        for end in range(start + 1, len(steps) + 1):
+            r, k = steps[end - 1]
+            x = apply_f_divided(x, self.e, r, k)
+            self._seeds[steps[:end]] = x
+        return x
+
     def _check_element(self, mu: Partition, vec: FockVector) -> None:
         if vec.coefficient(mu) != 1:
             raise UnitriangularityError(f"diagonal coefficient at {mu} is not 1")
-        for p, c in vec.items():
+        for p, c in vec._terms.items():
             if p == mu:
                 continue
             if not c.in_positive_part():
@@ -344,11 +366,16 @@ class CanonicalBasisOracle:
             return
         try:
             records = self._cache.load(self.e, n)
+            for mu, vec in records.items():
+                try:
+                    self._check_element(mu, vec)
+                except UnitriangularityError as exc:
+                    raise CacheError(f"{self._cache.path(self.e, n)}: {exc}") from exc
         except FileNotFoundError:
             self.levels_missing += 1
             return
         except CacheError as exc:
-            # corrupt file: drop it and recompute, but say so
+            # corrupt file or broken invariant: drop it and recompute, but say so
             self._cache.discard(self.e, n)
             self.cache_discards += 1
             warnings.warn(
@@ -513,22 +540,32 @@ def expand_in_canonical(
 
     Gaussian from the top: the lexicographically largest, hence
     dominance-maximal, support member must be the label of a canonical
-    element, so its coefficient is final.  Raises
-    SingularPivotError when a needed label is e-singular.
+    element, so its coefficient is final.  As in the oracle's elimination,
+    one pass in decreasing lexicographic order meets every pivot, since
+    G(sigma) only changes coefficients below sigma.  Raises
+    SingularPivotError when a needed label is e-singular, and
+    UnitriangularityError when an element reaches above its label.
     """
     oracle = oracle or get_oracle(e)
-    rem = dict(x.items())
+    rem = dict(x._terms)
+    pending = [(_descending(p), p) for p in rem]
+    heapq.heapify(pending)
     out: dict[Partition, LaurentPolynomial] = {}
-    while rem:
-        sigma = max(rem)
+    while pending:
+        _, sigma = heapq.heappop(pending)
         c = rem[sigma]
+        if not c:
+            continue
         if not is_e_regular(sigma, e):
             raise SingularPivotError(f"expansion pivot {sigma} is {e}-singular")
         out[sigma] = c
-        for p, coeff in oracle.element(sigma).vector.items():
-            nv = rem.get(p, ZERO) - c * coeff
-            if nv:
-                rem[p] = nv
-            else:
-                rem.pop(p, None)
+        strip = -c
+        for p, coeff in oracle.element(sigma).vector._terms.items():
+            if p > sigma:
+                raise UnitriangularityError(
+                    f"support of G({sigma}) contains {p}, lexicographically above it"
+                )
+            if p not in rem:
+                heapq.heappush(pending, (_descending(p), p))
+            rem[p] = rem.get(p, ZERO) + coeff * strip
     return out

@@ -89,18 +89,19 @@ class LaurentPolynomial:
     # -- ring operations ---------------------------------------------
 
     def __add__(self, other) -> "LaurentPolynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not LaurentPolynomial:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         out = dict(self._coeffs)
         for exp, c in other._coeffs.items():
             out[exp] = out.get(exp, 0) + c
-        return LaurentPolynomial(out)
+        return _nonzero(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: -c for e, c in self._coeffs.items()})
+        return _nonzero({e: -c for e, c in self._coeffs.items()})
 
     def __sub__(self, other) -> "LaurentPolynomial":
         other = _coerce(other)
@@ -115,15 +116,16 @@ class LaurentPolynomial:
         return other - self
 
     def __mul__(self, other) -> "LaurentPolynomial":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not LaurentPolynomial:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         out: dict[int, int] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolynomial(out)
+        return _nonzero(out)
 
     __rmul__ = __mul__
 
@@ -187,6 +189,14 @@ class LaurentPolynomial:
 
     def __repr__(self) -> str:
         return f"LaurentPolynomial({self._coeffs!r})"
+
+
+def _nonzero(coeffs: dict[int, int]) -> LaurentPolynomial:
+    """The ring operations' constructor: their exponents and coefficients
+    are ints already, so only the zero coefficients need dropping."""
+    poly = object.__new__(LaurentPolynomial)
+    object.__setattr__(poly, "_coeffs", {e: c for e, c in coeffs.items() if c})
+    return poly
 
 
 def _coerce(value) -> "LaurentPolynomial":

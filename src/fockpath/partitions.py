@@ -101,25 +101,36 @@ def boundary_nodes(p: Partition, e: int, r: int) -> tuple[list[Node], list[Node]
     """Removable and indent (addable) r-nodes, each sorted by column.
 
     Within one residue class the returned nodes occupy pairwise distinct
-    columns, so columns are a faithful total order key for them.
+    columns, so columns are a faithful total order key for them.  Rows are
+    read from the bottom up, where columns only grow, so both lists come
+    out sorted.
     """
     if not 0 <= r < e:
         raise ValueError(f"residue {r} out of range for e={e}")
-    removable = sorted((n for n in removable_nodes(p) if residue(n, e) == r), key=lambda n: n[1])
-    indent = sorted((n for n in addable_nodes(p) if residue(n, e) == r), key=lambda n: n[1])
+    removable: list[Node] = []
+    indent: list[Node] = []
+    below = 0  # the row under row i; the row under the last one is empty
+    if -len(p) % e == r:
+        indent.append((len(p) + 1, 1))
+    for i in range(len(p), 0, -1):
+        row = p[i - 1]
+        if row > below and (row - i) % e == r:
+            removable.append((i, row))
+        if (i == 1 or p[i - 2] > row) and (row + 1 - i) % e == r:
+            indent.append((i, row + 1))
+        below = row
     return removable, indent
 
 
 def add_cell(p: Partition, node: Node) -> Partition:
     i, j = node
-    if (i, j) not in addable_nodes(p):
+    n = len(p)
+    # (i, j) is addable iff it extends row i (row n + 1 is empty) and row i
+    # is shorter than the row above it
+    if not (1 <= i <= n + 1 and j == (p[i - 1] if i <= n else 0) + 1
+            and (i == 1 or p[i - 2] >= j)):
         raise ValueError(f"{node} is not an addable node of {p}")
-    rows = list(p)
-    if i == len(rows) + 1:
-        rows.append(1)
-    else:
-        rows[i - 1] += 1
-    return tuple(rows)
+    return p[: i - 1] + (j,) + p[i:]
 
 
 # -- beta-sets ---------------------------------------------------------

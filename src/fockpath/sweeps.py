@@ -8,8 +8,11 @@ explicit seed).
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 import random
+import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -51,6 +54,7 @@ class SweepReport:
     checked: int = 0
     failures: list = field(default_factory=list)
     notes: dict = field(default_factory=dict)
+    seconds: float = 0.0  # wall time of the sweep
 
     @property
     def ok(self) -> bool:
@@ -66,7 +70,23 @@ class SweepReport:
             "ok": self.ok,
             "failures": self.failures,
             "notes": self.notes,
+            # whole tenths, so a sweep of a few milliseconds reads 0.0 on
+            # every run
+            "seconds": math.floor(self.seconds * 10) / 10,
         }
+
+
+def _timed(sweep):
+    """Record the sweep's wall time in the report it returns."""
+
+    @functools.wraps(sweep)
+    def run(*args, **kwargs) -> SweepReport:
+        start = time.perf_counter()
+        report = sweep(*args, **kwargs)
+        report.seconds = time.perf_counter() - start
+        return report
+
+    return run
 
 
 # -- formula vs oracle (with output-shape checks) ---------------------------
@@ -79,9 +99,10 @@ class FormulaSweepConfig:
 
 
 # A deeper formula-vs-oracle tier, run after the default budgets.
-DEEP_FORMULA_BUDGETS = ((2, 20), (3, 18), (4, 16), (5, 16))
+DEEP_FORMULA_BUDGETS = ((2, 20), (3, 18), (4, 16), (5, 16), (2, 24), (3, 22))
 
 
+@_timed
 def run_formula_sweep(cfg: FormulaSweepConfig) -> SweepReport:
     """Every e-regular partition within budget, every residue, every pair of
     same-size column sets: the closed formula must equal the oracle
@@ -180,6 +201,7 @@ class BranchingSweepConfig:
     cache_dir: str | None = None
 
 
+@_timed
 def run_branching_sweep(cfg: BranchingSweepConfig) -> SweepReport:
     """Expand f_r of each canonical element in canonical elements and compare
     every move-shaped coefficient against the branching formula.
@@ -267,6 +289,7 @@ def sample_instances(
         yield t, a, b
 
 
+@_timed
 def run_bijection_sweep(cfg: BijectionSweepConfig, report_path: str | None = None) -> SweepReport:
     """Norm multisets of the two index sets must agree on every instance.
 
@@ -304,6 +327,7 @@ class ConstructionSweepConfig:
     max_positions: int = 8
 
 
+@_timed
 def run_construction_sweep(cfg: ConstructionSweepConfig) -> SweepReport:
     """Build the explicit bijection on every exhaustive instance.
 
@@ -354,6 +378,7 @@ class ConsistencySweepConfig:
     max_n: int = 10
 
 
+@_timed
 def run_consistency_sweep(cfg: ConsistencySweepConfig) -> SweepReport:
     """Left and right evaluations of the induction coefficient must agree for
     every partition within budget, e-singular ones included."""

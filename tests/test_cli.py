@@ -325,3 +325,41 @@ def test_verify_reports_oracle_stats(capsys, kind):
         "cache_discards",
     }
     assert stats["3"]["memo_size"] > 1
+
+
+def test_verify_reports_its_wall_time(capsys):
+    code, out, _ = run(capsys, "verify", "formula", "--e", "2", "--max-n", "5", "--json")
+    assert code == 0
+    seconds = json.loads(out)["seconds"]
+    assert isinstance(seconds, float) and seconds >= 0
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [("UnitriangularityError", 3), ("SingularPivotError", 2)],
+)
+def test_oracle_errors_have_defined_exit_codes(capsys, monkeypatch, error, code):
+    from fockpath import fockspace
+
+    def broken(self, mu):
+        raise getattr(fockspace, error)(f"elimination for {mu} failed")
+
+    monkeypatch.setattr(fockspace.CanonicalBasisOracle, "_compute", broken)
+    got, out, err = run(capsys, "oracle", "--e", "2", "--mu", "3,2")
+    assert got == code
+    assert out == ""
+    assert err.startswith("error: elimination for (3, 2) failed")
+
+
+def test_inexact_division_exits_3(capsys, monkeypatch):
+    from fockpath import cli
+    from fockpath.laurent import DivisibilityError
+
+    def broken(collections):
+        raise DivisibilityError("v + 1 is not divisible by v^2 + 1")
+
+    monkeypatch.setattr(cli, "norm_polynomial", broken)
+    code, out, err = run(capsys, "decomp", "--e", "2", "--col", "2", "--row", "1,1")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: v + 1 is not divisible")

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 import sys
 import threading
@@ -12,6 +13,7 @@ from fockpath.fockspace import (
     ERegularError,
     FockVector,
     OracleCache,
+    SingularPivotError,
     UnitriangularityError,
     apply_f,
     apply_f_divided,
@@ -22,7 +24,7 @@ from fockpath.fockspace import (
     ladder_monomial,
     oracle_coefficient,
 )
-from fockpath.laurent import LaurentPolynomial, ONE, exact_divide, quantum_factorial
+from fockpath.laurent import LaurentPolynomial, ONE, ZERO, exact_divide, quantum_factorial
 from fockpath.partitions import boundary_nodes, dominates, partitions_of
 
 V = LaurentPolynomial.variable()
@@ -317,3 +319,77 @@ def test_cache_missing_directory_is_created(tmp_path):
     oracle = CanonicalBasisOracle(2, cache_dir=target)
     oracle.save_level(3)
     assert target.exists()
+
+
+def test_memoised_seeds_equal_the_ladder_monomial_on_the_vacuum():
+    for e in (2, 3, 4):
+        labels = [mu for n in range(11) for mu in partitions_of(n) if is_e_regular(mu, e)]
+        random.Random(e).shuffle(labels)
+        oracle = CanonicalBasisOracle(e)
+        for mu in labels:
+            monomial = ladder_monomial(mu, e)
+            assert oracle._seed(monomial.steps) == monomial.apply_to_vacuum(), (e, mu)
+
+
+def expand_by_max_loop(x, e, oracle):
+    """Reference expansion: repeatedly strip the largest remaining label."""
+    rem = dict(x.items())
+    out = {}
+    while rem:
+        sigma = max(rem)
+        c = rem[sigma]
+        if not is_e_regular(sigma, e):
+            raise SingularPivotError(f"expansion pivot {sigma} is {e}-singular")
+        out[sigma] = c
+        for p, coeff in oracle.element(sigma).vector.items():
+            nv = rem.get(p, ZERO) - c * coeff
+            if nv:
+                rem[p] = nv
+            else:
+                rem.pop(p, None)
+    return out
+
+
+def test_heap_expansion_matches_the_max_loop_reference():
+    expanded = blocked = 0
+    for e, max_n in ((2, 9), (3, 8)):
+        oracle = CanonicalBasisOracle(e)
+        for n in range(max_n + 1):
+            for mu in partitions_of(n):
+                if not is_e_regular(mu, e):
+                    continue
+                g = oracle.element(mu).vector
+                inputs = [apply_f_divided(g, e, r, k) for r in range(e) for k in (1, 2)]
+                # basis vectors reach e-singular pivots
+                inputs.append(FockVector.basis(mu))
+                for x in inputs:
+                    try:
+                        want = expand_by_max_loop(x, e, oracle)
+                    except SingularPivotError:
+                        with pytest.raises(SingularPivotError):
+                            expand_in_canonical(x, e, oracle)
+                        blocked += 1
+                        continue
+                    got = expand_in_canonical(x, e, oracle)
+                    assert got == want and list(got) == list(want), (e, mu, x)
+                    expanded += 1
+    assert expanded and blocked
+
+
+def test_cached_level_breaking_an_invariant_is_discarded_and_rebuilt(tmp_path):
+    CanonicalBasisOracle(2, cache_dir=tmp_path).save_level(6)
+    cache = OracleCache(tmp_path)
+    entries = cache.load(2, 6)
+    # a coefficient v^-1 is outside v*N0[v]; the checksum stays valid
+    entries[(4, 2)] = entries[(4, 2)] + FockVector.basis((3, 2, 1)).scale(V.bar())
+    path = cache.store(2, 6, entries)
+    assert cache.load(2, 6) == entries
+    oracle = CanonicalBasisOracle(2, cache_dir=tmp_path)
+    with pytest.warns(RuntimeWarning, match="canonical_e2_n6.jsonl.*outside"):
+        oracle.element((5, 1))
+    stats = oracle.stats()
+    assert stats["cache_discards"] == 1 and stats["levels_loaded"] == 0
+    fresh = CanonicalBasisOracle(2)
+    for mu in entries:
+        assert oracle.element(mu).vector == fresh.element(mu).vector
+    assert not os.path.exists(path)

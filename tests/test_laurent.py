@@ -107,3 +107,12 @@ def test_quantum_values_are_bar_symmetric(k):
     assert quantum_integer(k).is_bar_symmetric()
     assert quantum_factorial(k).is_bar_symmetric()
     assert quantum_integer(k).at_one() == k
+
+
+@given(laurents, laurents)
+def test_ring_results_hold_no_zero_coefficient(p, q):
+    results = [p + q, p - q, -p, p * q, p + (-p), p * 0, p + 1, 2 - p, p * -3]
+    results += list(p.symmetric_split())
+    for result in results:
+        assert 0 not in result._coeffs.values()
+        assert all(type(e) is int and type(c) is int for e, c in result._coeffs.items())

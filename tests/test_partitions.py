@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from fockpath.partitions import (
     Comparison,
+    add_cell,
     beta_set,
     boundary_nodes,
     compare_classes,
@@ -200,3 +201,40 @@ def test_class_equality_under_same_residue_exchange():
                             assert (
                                 compare_classes(mu, lam, e, r) == Comparison.EQUAL
                             )
+
+
+def _sorted_filter_boundary_nodes(p, e, r):
+    """Reference: filter the removable and addable nodes by residue, then
+    sort each list by column."""
+    removable = sorted((n for n in removable_nodes(p) if residue(n, e) == r), key=lambda n: n[1])
+    indent = sorted((n for n in addable_nodes(p) if residue(n, e) == r), key=lambda n: n[1])
+    return removable, indent
+
+
+def test_boundary_nodes_match_the_sorted_filter_reference():
+    cases = 0
+    for n in range(16):
+        for lam in partitions_of(n):
+            for e in range(2, 6):
+                for r in range(e):
+                    assert boundary_nodes(lam, e, r) == _sorted_filter_boundary_nodes(
+                        lam, e, r), (lam, e, r)
+                    cases += 1
+    assert cases == 14 * sum(len(partitions_of(n)) for n in range(16))
+
+
+def test_add_cell_accepts_exactly_the_addable_nodes():
+    for n in range(9):
+        for lam in partitions_of(n):
+            addable = set(addable_nodes(lam))
+            width = lam[0] if lam else 0
+            for i in range(-1, len(lam) + 3):
+                for j in range(-1, width + 3):
+                    if (i, j) in addable:
+                        grown = add_cell(lam, (i, j))
+                        assert sum(grown) == n + 1
+                        assert list(grown) == sorted(grown, reverse=True)
+                        assert (i, j) in removable_nodes(grown)
+                    else:
+                        with pytest.raises(ValueError, match="not an addable node"):
+                            add_cell(lam, (i, j))
