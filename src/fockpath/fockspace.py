@@ -7,11 +7,11 @@ ways, weighting each addition by v to the power (indent r-nodes strictly
 to the right) minus (removable r-nodes strictly to the right).
 
 The oracle computes the canonical basis element G(mu) for e-regular mu:
-seed with the ladder monomial applied to the vacuum (a bar-invariant
-vector equal to mu plus dominated terms; each seed is one divided power
-applied to the stored seed of its ladder prefix), then strip the
-bar-symmetric part of each offending coefficient using previously computed
-canonical elements, until every off-diagonal coefficient lies in v*N0[v].
+seed with f_r^(k) G(nu), where nu is mu without its last ladder of k
+r-nodes (a bar-invariant vector equal to mu plus lexicographically smaller
+terms; G(nu) comes from the same memo), then strip the bar-symmetric part
+of each offending coefficient using previously computed canonical
+elements, until every off-diagonal coefficient lies in v*N0[v].
 One pass in decreasing lexicographic order does it: the lexicographically
 largest offending partition is always dominance-maximal.  Divided powers
 f_r^(k) come from their closed form, one weighted term per k-set of indent
@@ -239,10 +239,6 @@ class CanonicalBasisOracle:
     def __init__(self, e: int, cache_dir: str | os.PathLike | None = None):
         self.e = check_e(e)
         self._memo: dict[Partition, FockVector] = {(): FockVector.basis(())}
-        # ladder seeds by step tuple; each extends the seed of its prefix
-        self._seeds: dict[tuple[tuple[int, int], ...], FockVector] = {
-            (): FockVector.basis(())
-        }
         self._lock = threading.RLock()
         self._cache = OracleCache(cache_dir) if cache_dir else None
         self._loaded_levels: set[int] = set()
@@ -272,8 +268,6 @@ class CanonicalBasisOracle:
                 f"{mu} is {self.e}-singular; the ladder-seed oracle does not cover it"
             )
         with self._lock:
-            if self._cache is not None and sum(mu) not in self._loaded_levels:
-                self._load_level(sum(mu))
             vec = self._compute(mu)
         return CanonicalBasisElement(mu=mu, vector=vec)
 
@@ -285,10 +279,23 @@ class CanonicalBasisOracle:
         return self.element(mu).coefficient(lam)
 
     def _compute(self, mu: Partition) -> FockVector:
+        if self._cache is not None and sum(mu) not in self._loaded_levels:
+            self._load_level(sum(mu))
         if mu in self._memo:
             self.memo_hits += 1
             return self._memo[mu]
-        seed = self._seed(ladder_monomial(mu, self.e).steps)
+        # Seed with f_r^(k) G(nu): (r, k) is the last ladder step and nu is mu
+        # without that ladder's k nodes, which end their rows; nu keeps mu's
+        # other ladders, so it is an e-regular partition.  The seed is
+        # bar-invariant, as f_r^(k) commutes with bar, so elimination gives the
+        # unique G(mu) if the seed is 1 at mu and lexicographically below mu
+        # elsewhere; both are checked.
+        r, k = ladder_monomial(mu, self.e).steps[-1]
+        end_ladders = [i + (self.e - 1) * (part - 1) for i, part in enumerate(mu, 1)]
+        top = max(end_ladders)
+        truncated = tuple(p - 1 if end == top else p for p, end in zip(mu, end_ladders))
+        below = self._compute(tuple(p for p in truncated if p))
+        seed = apply_f_divided(below, self.e, r, k)
         if seed.coefficient(mu) != 1:
             raise UnitriangularityError(
                 f"ladder seed of {mu} has diagonal coefficient {seed.coefficient(mu)}"
@@ -306,6 +313,10 @@ class CanonicalBasisOracle:
         heapq.heapify(pending)
         while pending:
             _, nu = heapq.heappop(pending)
+            if nu > mu:
+                raise UnitriangularityError(
+                    f"seed of {mu} holds {nu}, lexicographically above it"
+                )
             c = coeffs[nu]
             if nu == mu or not c or c.min_exponent > 0:
                 continue
@@ -328,20 +339,6 @@ class CanonicalBasisOracle:
         self._memo[mu] = vec
         self.computed += 1
         return vec
-
-    def _seed(self, steps: tuple[tuple[int, int], ...]) -> FockVector:
-        """The ladder monomial with these steps applied to the vacuum: the
-        longest stored prefix, extended one divided power at a time, keeping
-        every new prefix.  Equal to ``LadderMonomial.apply_to_vacuum``."""
-        start = len(steps)
-        while steps[:start] not in self._seeds:
-            start -= 1
-        x = self._seeds[steps[:start]]
-        for end in range(start + 1, len(steps) + 1):
-            r, k = steps[end - 1]
-            x = apply_f_divided(x, self.e, r, k)
-            self._seeds[steps[:end]] = x
-        return x
 
     def _check_element(self, mu: Partition, vec: FockVector) -> None:
         if vec.coefficient(mu) != 1:
@@ -543,10 +540,13 @@ def expand_in_canonical(
     element, so its coefficient is final.  As in the oracle's elimination,
     one pass in decreasing lexicographic order meets every pivot, since
     G(sigma) only changes coefficients below sigma.  Raises
-    SingularPivotError when a needed label is e-singular, and
-    UnitriangularityError when an element reaches above its label.
+    SingularPivotError when a needed label is e-singular,
+    UnitriangularityError when an element reaches above its label, and
+    ValueError when the oracle is for another modulus.
     """
     oracle = oracle or get_oracle(e)
+    if oracle.e != e:
+        raise ValueError(f"expansion at e={e} given an oracle for e={oracle.e}")
     rem = dict(x._terms)
     pending = [(_descending(p), p) for p in rem]
     heapq.heapify(pending)

@@ -98,8 +98,8 @@ class FormulaSweepConfig:
     cache_dir: str | None = None
 
 
-# A deeper formula-vs-oracle tier, run after the default budgets.
-DEEP_FORMULA_BUDGETS = ((2, 20), (3, 18), (4, 16), (5, 16), (2, 24), (3, 22))
+# A deeper formula-vs-oracle tier; budgets start at n = 0, one per modulus.
+DEEP_FORMULA_BUDGETS = ((4, 16), (5, 16), (2, 24), (3, 22))
 
 
 @_timed

@@ -321,14 +321,50 @@ def test_cache_missing_directory_is_created(tmp_path):
     assert target.exists()
 
 
-def test_memoised_seeds_equal_the_ladder_monomial_on_the_vacuum():
+def test_ladder_monomial_on_the_vacuum_is_unitriangular_in_the_canonical_basis():
+    # the from-vacuum seed, independent of the oracle's truncation seeds
     for e in (2, 3, 4):
         labels = [mu for n in range(11) for mu in partitions_of(n) if is_e_regular(mu, e)]
         random.Random(e).shuffle(labels)
         oracle = CanonicalBasisOracle(e)
         for mu in labels:
-            monomial = ladder_monomial(mu, e)
-            assert oracle._seed(monomial.steps) == monomial.apply_to_vacuum(), (e, mu)
+            x = ladder_monomial(mu, e).apply_to_vacuum()
+            coeffs = expand_in_canonical(x, e, oracle)
+            assert coeffs[mu] == 1 and max(coeffs) == mu, (e, mu)
+            assert all(c == c.bar() for c in coeffs.values()), (e, mu)
+
+
+def test_a_seed_term_above_the_label_is_rejected(monkeypatch):
+    from fockpath import fockspace
+
+    exact = fockspace.apply_f_divided
+    planted = FockVector.basis((4, 1, 1)).scale(V)
+
+    def plant(x, e, r, k):
+        out = exact(x, e, r, k)
+        return out + planted if (3, 3) in out.support else out
+
+    monkeypatch.setattr(fockspace, "apply_f_divided", plant)
+    with pytest.raises(UnitriangularityError, match=r"seed of \(3, 3\) holds \(4, 1, 1\)"):
+        CanonicalBasisOracle(3).element((3, 3))
+
+
+def test_the_truncation_seed_loads_its_level_from_the_cache(tmp_path):
+    writer = CanonicalBasisOracle(2, cache_dir=tmp_path)
+    for n in range(18):
+        writer.save_level(n)
+    oracle = CanonicalBasisOracle(2, cache_dir=tmp_path)
+    got = oracle.element((9, 5, 3, 1)).vector
+    stats = oracle.stats()
+    assert stats["levels_loaded"] == 1 and stats["levels_missing"] == 1
+    assert {sum(mu) for mu in oracle._memo} == {0, 17, 18}
+    assert stats["computed"] == sum(1 for mu in oracle._memo if sum(mu) == 18)
+    assert got == CanonicalBasisOracle(2).element((9, 5, 3, 1)).vector
+
+
+def test_expansion_rejects_an_oracle_of_another_modulus():
+    with pytest.raises(ValueError, match="oracle for e=2"):
+        expand_in_canonical(FockVector.basis((2, 1)), 3, get_oracle(2))
 
 
 def expand_by_max_loop(x, e, oracle):
