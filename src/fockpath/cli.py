@@ -260,7 +260,7 @@ def cmd_verify(args) -> int:
             sweeps.ConstructionSweepConfig(**_given(max_positions=args.max_positions))
         )
     else:  # consistency; argparse restricts the kinds
-        e_values = tuple(args.e) if args.e else None
+        e_values = _moduli(args)
         report = sweeps.run_consistency_sweep(
             sweeps.ConsistencySweepConfig(**_given(e_values=e_values, max_n=args.max_n))
         )
@@ -283,8 +283,19 @@ def _budgets(args, default):
     defaults = dict(default)
     return tuple(
         (e, args.max_n if args.max_n is not None else defaults.get(e, 8))
-        for e in (args.e or defaults)
+        for e in (_moduli(args) or defaults)
     )
+
+
+def _moduli(args) -> tuple[int, ...] | None:
+    """The --e values in the given order, None when none is given; a
+    modulus given twice would sweep its instances twice."""
+    if not args.e:
+        return None
+    repeated = sorted({e for e in args.e if args.e.count(e) > 1})
+    if repeated:
+        raise CliError(f"--e {', '.join(map(str, repeated))} given more than once")
+    return tuple(args.e)
 
 
 # -- render ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
@@ -27,6 +27,17 @@ from . import bijection as _bijection
 def sign_sequence_of(lam: Partition, e: int, r: int) -> SignSequence:
     """Columns of removable r-nodes as plus, columns of indent r-nodes as
     minus; the left-to-right order of the nodes is the column order."""
+    return _sign_sequence_of(tuple(lam), e, r)
+
+
+# Sign sequences memoised per (lam, e, r).  A sweep asks for one (lam, r)
+# once per move, so its moves share one SignSequence and the positions,
+# heights and matching that object caches.
+_SIGN_SEQUENCE_CACHE = 256
+
+
+@lru_cache(maxsize=_SIGN_SEQUENCE_CACHE)
+def _sign_sequence_of(lam: Partition, e: int, r: int) -> SignSequence:
     removable, indent = boundary_nodes(lam, check_e(e), r)
     return SignSequence(
         frozenset(n[1] for n in removable), frozenset(n[1] for n in indent)

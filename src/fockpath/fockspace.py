@@ -16,6 +16,14 @@ One pass in decreasing lexicographic order does it: the lexicographically
 largest offending partition is always dominance-maximal.  Divided powers
 f_r^(k) come from their closed form, one weighted term per k-set of indent
 r-nodes.
+
+Besides the oracle's memo of G, one bounded memo (``functools.lru_cache``,
+``_ADDITION_CACHE`` entries) keeps the per-partition terms of f_r^(k): the
+partitions lam + S and their exponents, keyed on (lam, e, r, k).  The
+closed-form layers keep bounded memos of their own: ``latticed_paths`` per
+window, ``match_pairs`` per (openers, closers), ``sign_sequence_of`` per
+(lam, e, r) and the bijection's index sets per (t, A, B).  Each returns an
+immutable value, and every runtime check runs as it did without the memo.
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import tempfile
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Mapping
 
@@ -160,23 +169,41 @@ def _add_indent_nodes(x: FockVector, e: int, r: int, k: int) -> FockVector:
     to the right of gamma) minus (removable r-nodes to the right of gamma)."""
     out: dict[Partition, dict[int, int]] = {}
     for lam, coeff in x._terms.items():
-        removable, indent = boundary_nodes(lam, e, r)
-        # weight of adding indent[i] alone: indent minus removable to its right
-        alone = [
-            len(indent) - i - 1 - sum(1 for node in removable if node[1] > col)
-            for i, (_, col) in enumerate(indent)
-        ]
         terms = list(coeff.items())
-        for subset in combinations(range(len(indent)), k):
-            # the j-th node of S from the right loses j nodes of S from its count
-            exponent = sum(alone[i] for i in subset) - k * (k - 1) // 2
-            mu = lam
-            for i in subset:
-                mu = add_cell(mu, indent[i])
+        for mu, exponent in _indent_additions(lam, e, r, k):
             acc = out.setdefault(mu, {})
             for exp, c in terms:
                 acc[exp + exponent] = acc.get(exp + exponent, 0) + c
     return FockVector({mu: LaurentPolynomial(acc) for mu, acc in out.items()})
+
+
+# Per-partition terms of f_r^(k) memoised per (lam, e, r, k).  The oracle
+# applies f_r^(k) to G(nu) for many mu, and those vectors share most of their
+# partitions.
+_ADDITION_CACHE = 4096
+
+
+@lru_cache(maxsize=_ADDITION_CACHE)
+def _indent_additions(
+    lam: Partition, e: int, r: int, k: int
+) -> tuple[tuple[Partition, int], ...]:
+    """(lam plus S, exponent of S) for every k-set S of indent r-nodes of lam,
+    S in lexicographic order of its column-sorted indices."""
+    removable, indent = boundary_nodes(lam, e, r)
+    # weight of adding indent[i] alone: indent minus removable to its right
+    alone = [
+        len(indent) - i - 1 - sum(1 for node in removable if node[1] > col)
+        for i, (_, col) in enumerate(indent)
+    ]
+    out = []
+    for subset in combinations(range(len(indent)), k):
+        # the j-th node of S from the right loses j nodes of S from its count
+        exponent = sum(alone[i] for i in subset) - k * (k - 1) // 2
+        mu = lam
+        for i in subset:
+            mu = add_cell(mu, indent[i])
+        out.append((mu, exponent))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ enclosing it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -82,6 +83,13 @@ def _nesting_forest(pairs: Iterable[Pair]) -> dict[Pair | None, list[Pair]]:
     return children
 
 
+# Path sets memoised per window.  Neighbouring moves and bijection instances
+# share most of their windows; a window and its paths are frozen, so every
+# caller may share one tuple.
+_WINDOW_CACHE = 256
+
+
+@lru_cache(maxsize=_WINDOW_CACHE)
 def latticed_paths(window: SignSequence) -> tuple[LatticedPath, ...]:
     """All latticed paths of the window.
 
@@ -89,31 +97,42 @@ def latticed_paths(window: SignSequence) -> tuple[LatticedPath, ...]:
     each such set is a union of full subtrees of the nesting forest, chosen
     by an antichain of subtree roots.  The generic path (nothing flattened)
     always appears first.
+
+    The forest is walked children first with an explicit stack, so a window
+    nested thousands of pairs deep needs no recursion.
     """
-    m = window.matching()
-    children = _nesting_forest(m.pairs)
-
-    def descendants(pair: Pair) -> frozenset[Pair]:
-        out = {pair}
-        for child in children[pair]:
-            out |= descendants(child)
-        return frozenset(out)
-
-    def options(pair: Pair) -> list[frozenset[Pair]]:
-        combos = [frozenset()]
-        for child in children[pair]:
-            combos = [s | t for s in combos for t in options(child)]
-        return combos + [descendants(pair)]
-
-    choices: list[frozenset[Pair]] = [frozenset()]
-    for root in children[None]:
-        root_opts = options(root)
-        choices = [s | t for s in choices for t in root_opts]
+    children = _nesting_forest(window.matching().pairs)
+    preorder: list[Pair] = []
+    stack = list(children[None])
+    while stack:
+        pair = stack.pop()
+        preorder.append(pair)
+        stack.extend(children[pair])
+    # options[pair]: the down-closed sets inside pair's subtree
+    options: dict[Pair, list[frozenset[Pair]]] = {}
+    subtree: dict[Pair, frozenset[Pair]] = {}
+    for pair in reversed(preorder):
+        kids = children[pair]
+        subtree[pair] = frozenset({pair}).union(*(subtree[kid] for kid in kids))
+        options[pair] = _unions([options.pop(kid) for kid in kids]) + [subtree[pair]]
+    choices = _unions([options.pop(root) for root in children[None]])
     paths = sorted(
         (LatticedPath(window, flat) for flat in set(choices)),
         key=lambda p: (-p.norm, sorted(p.flattened)),
     )
     return tuple(paths)
+
+
+def _unions(option_lists: list[list[frozenset[Pair]]]) -> list[frozenset[Pair]]:
+    """Every union of one member of each list; [frozenset()] for none."""
+    if not option_lists:
+        return [frozenset()]
+    # the first list is its own product with the empty choice: no copies,
+    # so a chain of nested pairs costs quadratic, not cubic, time
+    combos = option_lists[0]
+    for opts in option_lists[1:]:
+        combos = [s | t for s in combos for t in opts]
+    return combos
 
 
 def latticed_paths_by_flattening(window: SignSequence) -> frozenset[LatticedPath]:
@@ -247,8 +266,8 @@ def well_nested_collections(
     Requires a perfect matching (self-pairing of common elements allowed),
     with proper openers among t's minus positions and proper closers among
     t's plus positions.  Exhaustive product of the per-window path sets in
-    pair order, filtered by the nesting condition; the all-generic
-    collection is always a member.
+    pair order, filtered by the nesting condition on the parent/child edges
+    of the nesting forest; the all-generic collection is always a member.
 
     The nesting condition is tested as F_inner <= F_outer on flattened sets
     (``is_well_nested`` keeps the height test).  Why they agree: bracket
@@ -283,7 +302,15 @@ def well_nested_collections(
         for u, w in pairs
     ]
     index = {pair: k for k, pair in enumerate(pairs)}
-    relations = [(index[outer], index[inner]) for outer, inner in nested_pair_relations(pairs)]
+    # Only parent/child edges of the nesting forest: inclusion of flattened
+    # sets is transitive, so F_child <= F_parent on every edge gives
+    # F_inner <= F_outer for every nested pair (the outer one is an ancestor).
+    forest = _nesting_forest(p for p in pairs if p[0] != p[1])
+    relations = [
+        (index[parent], index[child])
+        for parent, kids in forest.items() if parent is not None
+        for child in kids
+    ]
     return tuple(
         make_collection(t, combo)
         for combo in product(*per_pair)

@@ -289,7 +289,11 @@ def compare_classes(p: Partition, q: Partition, e: int, r: int) -> Comparison:
     return Comparison.EQUAL
 
 
-@lru_cache(maxsize=None)
+# Sizes whose partitions stay memoised; sweeps walk sizes up to a few dozen.
+_PARTITION_LEVELS = 64
+
+
+@lru_cache(maxsize=_PARTITION_LEVELS)
 def _partitions_cached(n: int) -> tuple[Partition, ...]:
     return tuple(partitions(n))
 

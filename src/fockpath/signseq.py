@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 
@@ -54,8 +54,17 @@ def match_pairs(openers: Iterable[int], closers: Iterable[int]) -> Matching:
     common elements of the two sets are self-paired and excluded from the
     sweep.
     """
-    a = frozenset(openers)
-    b = frozenset(closers)
+    return _match_pairs(frozenset(openers), frozenset(closers))
+
+
+# Matchings memoised per (openers, closers).  The bijection's runtime checks
+# match the same few set pairs again and again across a sweep; a Matching is
+# frozen, so every caller may share one.
+_MATCHING_CACHE = 256
+
+
+@lru_cache(maxsize=_MATCHING_CACHE)
+def _match_pairs(a: frozenset[int], b: frozenset[int]) -> Matching:
     common = a & b
     stack: list[int] = []
     pairs: list[tuple[int, int]] = []

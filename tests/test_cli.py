@@ -363,3 +363,20 @@ def test_inexact_division_exits_3(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err.startswith("error: v + 1 is not divisible")
+
+
+@pytest.mark.parametrize("kind", ["formula", "branching", "consistency"])
+def test_verify_rejects_a_repeated_modulus(capsys, kind):
+    code, out, err = run(capsys, "verify", kind, "--e", "2", "--e", "3", "--e", "2",
+                         "--max-n", "4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --e 2 given more than once\n"
+
+
+def test_paths_on_a_deeply_nested_window(capsys):
+    plus = ",".join(str(p) for p in range(1, 601))
+    minus = ",".join(str(p) for p in range(601, 1201))
+    code, out, _ = run(capsys, "paths", "--plus", plus, "--minus", minus)
+    assert code == 0
+    assert out.splitlines()[0] == "601 latticed paths"
