@@ -2,8 +2,10 @@
 """Run every verification sweep at full acceptance budgets and summarise.
 
 Equivalent to the CLI `fockpath verify ...` invocations, collected in one
-place; exits nonzero if any sweep reports a failure.  --deep adds a formula
-sweep at sweeps.DEEP_FORMULA_BUDGETS after the default sweeps.
+place; exits nonzero if any sweep reports a failure.  --deep adds, after the
+default sweeps, a formula sweep at sweeps.DEEP_FORMULA_BUDGETS and an
+exhaustive norm-multiset sweep on up to sweeps.DEEP_BIJECTION_POSITIONS
+positions.
 """
 
 import argparse
@@ -18,7 +20,7 @@ def main() -> int:
     parser.add_argument("--cache", help="oracle cache directory")
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--deep", action="store_true",
-                        help="also run the deep formula-vs-oracle budgets")
+                        help="also run the deep formula and bijection budgets")
     args = parser.parse_args()
 
     # The acceptance budgets are the config dataclasses' defaults.
@@ -37,6 +39,9 @@ def main() -> int:
         runs.append(("formula-deep", lambda: sweeps.run_formula_sweep(
             sweeps.FormulaSweepConfig(budgets=sweeps.DEEP_FORMULA_BUDGETS,
                                       cache_dir=args.cache))))
+        runs.append(("bijection-deep", lambda: sweeps.run_bijection_sweep(
+            sweeps.BijectionSweepConfig(
+                max_positions=sweeps.DEEP_BIJECTION_POSITIONS, samples=0))))
 
     all_ok = True
     results = []

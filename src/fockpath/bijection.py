@@ -28,6 +28,7 @@ from functools import lru_cache
 from .latticepath import (
     LatticedPath,
     WellNestedCollection,
+    collection_norms,
     is_valid_path,
     is_well_nested,
     make_collection,
@@ -78,20 +79,47 @@ def _check_instance(t: SignSequence, a: frozenset[int], b: frozenset[int]) -> No
         raise ValueError(f"A={sorted(a)} is not onto B={sorted(b)}")
 
 
-def _left(t: SignSequence, a, b, c: int, coll: WellNestedCollection) -> LeftElement:
+def _left_shift(t: SignSequence, a, b, c: int) -> int:
+    """Norm of a left element at column c, less its collection's norm."""
     # t.suffix(c).size is t.size - t.height(c)
-    norm = (
+    return (
         2 * (sum(1 for x in b if x > c) - sum(1 for x in a if x > c))
         + t.height(c) - t.size
-        + coll.norm
     )
-    return LeftElement(position=c, collection=coll, norm=norm)
+
+
+def _right_shift(t: SignSequence, d: int, dp: int) -> int:
+    """Norm of a right element at valley d and marker dp, less its
+    collection's norm."""
+    # t.half_open(d, dp).size is t.height(dp) - t.height(d)
+    return 2 * t.height(dp) - t.height(d) - t.size
+
+
+def _left(t: SignSequence, a, b, c: int, coll: WellNestedCollection) -> LeftElement:
+    return LeftElement(position=c, collection=coll, norm=_left_shift(t, a, b, c) + coll.norm)
 
 
 def _right(t: SignSequence, d: int, dp: int, coll: WellNestedCollection) -> RightElement:
-    # t.half_open(d, dp).size is t.height(dp) - t.height(d)
-    norm = 2 * t.height(dp) - t.height(d) - t.size + coll.norm
+    norm = _right_shift(t, d, dp) + coll.norm
     return RightElement(valley=d, marker=dp, collection=coll, norm=norm)
+
+
+def _completions(t: SignSequence, a: frozenset[int], b: frozenset[int]) -> list[int]:
+    """The completion columns c of the left index set, with A onto B + c."""
+    return [c for c in sorted((t.plus | a) - b) if onto(a, b | {c})]
+
+
+def _valleys(
+    t: SignSequence, a: frozenset[int], b: frozenset[int]
+) -> list[tuple[int, list[int]]]:
+    """The valleys d of the right index set, with A onto B + d, each with
+    its markers: d itself and the unpaired plus positions beyond it."""
+    unpaired = unpaired_plus(t)
+    return [
+        (d, sorted({d} | {u for u in unpaired if u > d}))
+        for d in sorted(valley_set(t))
+        if onto(a, b | {d})
+    ]
 
 
 # Index sets memoised per (t, A, B).  The construction recurses into the same
@@ -111,13 +139,11 @@ def _left_elements(
     t: SignSequence, a: frozenset[int], b: frozenset[int]
 ) -> tuple[LeftElement, ...]:
     _check_instance(t, a, b)
-    out = []
-    for c in sorted((t.plus | a) - b):
-        if not onto(a, b | {c}):
-            continue
-        for coll in well_nested_collections(t, a, b | {c}):
-            out.append(_left(t, a, b, c, coll))
-    return tuple(out)
+    return tuple(
+        _left(t, a, b, c, coll)
+        for c in _completions(t, a, b)
+        for coll in well_nested_collections(t, a, b | {c})
+    )
 
 
 def right_elements(
@@ -132,23 +158,42 @@ def _right_elements(
 ) -> tuple[RightElement, ...]:
     _check_instance(t, a, b)
     out = []
-    unpaired = unpaired_plus(t)
-    for d in sorted(valley_set(t)):
-        if not onto(a, b | {d}):
-            continue
+    for d, markers in _valleys(t, a, b):
         colls = well_nested_collections(t.shift_up(d), a, b | {d})
-        for dp in sorted({d} | {u for u in unpaired if u > d}):
-            for coll in colls:
-                out.append(_right(t, d, dp, coll))
+        out.extend(_right(t, d, dp, coll) for dp in markers for coll in colls)
     return tuple(out)
+
+
+def left_norms(t: SignSequence, a, b) -> Counter[int]:
+    """Norm -> number of left elements, counted without building them."""
+    a, b = frozenset(a), frozenset(b)
+    _check_instance(t, a, b)
+    out: Counter[int] = Counter()
+    for c in _completions(t, a, b):
+        shift = _left_shift(t, a, b, c)
+        for norm, count in collection_norms(t, a, b | {c}).items():
+            out[norm + shift] += count
+    return out
+
+
+def right_norms(t: SignSequence, a, b) -> Counter[int]:
+    """Norm -> number of right elements, counted without building them."""
+    a, b = frozenset(a), frozenset(b)
+    _check_instance(t, a, b)
+    out: Counter[int] = Counter()
+    for d, markers in _valleys(t, a, b):
+        counts = collection_norms(t.shift_up(d), a, b | {d})
+        for dp in markers:
+            shift = _right_shift(t, d, dp)
+            for norm, count in counts.items():
+                out[norm + shift] += count
+    return out
 
 
 def norm_multisets_match(t: SignSequence, a, b) -> bool:
     """Whether the left and right norm multisets coincide (the computational
     content of the identity; always true in every tested regime)."""
-    lhs = Counter(el.norm for el in left_elements(t, a, b))
-    rhs = Counter(el.norm for el in right_elements(t, a, b))
-    return lhs == rhs
+    return left_norms(t, a, b) == right_norms(t, a, b)
 
 
 # -- the explicit bijection ------------------------------------------------

@@ -38,7 +38,7 @@ _SIGN_SEQUENCE_CACHE = 256
 
 @lru_cache(maxsize=_SIGN_SEQUENCE_CACHE)
 def _sign_sequence_of(lam: Partition, e: int, r: int) -> SignSequence:
-    removable, indent = boundary_nodes(lam, check_e(e), r)
+    removable, indent = boundary_nodes(check_partition(lam), check_e(e), r)
     return SignSequence(
         frozenset(n[1] for n in removable), frozenset(n[1] for n in indent)
     )
@@ -203,8 +203,8 @@ def consistency_sums(
     t = sign_sequence_of(lam, e, r)
     a = frozenset(added)
     b = frozenset(removed)
-    left = norm_polynomial(_bijection.left_elements(t, a, b))
-    right = norm_polynomial(_bijection.right_elements(t, a, b))
+    left = LaurentPolynomial(_bijection.left_norms(t, a, b))
+    right = LaurentPolynomial(_bijection.right_norms(t, a, b))
     return left, right
 
 

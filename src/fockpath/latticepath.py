@@ -10,16 +10,23 @@ perfect matching; inner paths must never dip below outer ones when all
 paths are anchored on the generic path of the ambient sequence.
 Equivalently, every pair an inner path flattens is flattened by each path
 enclosing it.
+
+A window's paths depend only on its sign word, so they are tabulated once
+per word as bitmasks of flattened opener ranks.  ``latticed_paths`` and
+``well_nested_collections`` build the objects from those tables; where only
+norms are read, ``collection_norms`` counts collections by norm with a
+dynamic programme over the nesting forest and builds nothing.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
-from .signseq import PairingError, SignSequence, match_pairs
+from .signseq import Matching, PairingError, SignSequence, match_pairs
 
 Pair = tuple[int, int]
 
@@ -68,19 +75,82 @@ class LatticedPath:
         return cls(SignSequence(frozenset(), frozenset()), frozenset(), degenerate=True)
 
 
-def _nesting_forest(pairs: Iterable[Pair]) -> dict[Pair | None, list[Pair]]:
-    """Children map of the nesting forest; key None lists the roots."""
-    ordered = sorted(pairs)
-    children: dict[Pair | None, list[Pair]] = {None: []}
+def _nesting_forest(pairs: Iterable[Pair]) -> list[tuple[Pair, Pair | None]]:
+    """Non-crossing pairs by opener, each with the pair directly enclosing
+    it (None for a root).  A parent opens before its children, so reading
+    the list backwards visits children first."""
+    out: list[tuple[Pair, Pair | None]] = []
     stack: list[Pair] = []
-    for pair in ordered:
+    for pair in sorted(pairs):
         while stack and not (stack[-1][0] < pair[0] and pair[1] < stack[-1][1]):
             stack.pop()
-        parent = stack[-1] if stack else None
-        children.setdefault(parent, []).append(pair)
-        children.setdefault(pair, [])
+        out.append((pair, stack[-1] if stack else None))
         stack.append(pair)
-    return children
+    return out
+
+
+# Path tables memoised per sign word.  A window's latticed paths depend only
+# on the order type of its signs, and far fewer words than windows recur: on
+# wide partitions one word stands for two windows or more.
+_WORD_CACHE = 256
+
+
+@lru_cache(maxsize=_WORD_CACHE)
+def _path_table(word: tuple[bool, ...]) -> tuple[tuple[int, int], ...]:
+    """(mask, norm) of every down-closed flattening of the word's matching.
+
+    Word entries are True for plus (an up-stroke); bit i of a mask is set
+    when the pair opened at index i is flattened, and the norm is one plus
+    the number of surviving strokes.  The order is that of latticed_paths:
+    norm descending, then the flattened openers' sorted indices.
+
+    A down-closed set is a union of full subtrees of the nesting forest,
+    chosen by an antichain of subtree roots.  A pair is complete when its
+    closer is read, after every pair nested in it, so one left-to-right
+    scan visits the forest children first, with no recursion.
+    """
+    # frames[-1]: the option lists of the completed pairs directly inside
+    # the innermost open up-stroke (frames[0]: outside every open one)
+    frames: list[list[list[int]]] = [[]]
+    openers: list[int] = []
+    for i, up in enumerate(word):
+        if up:
+            openers.append(i)
+            frames.append([])
+        elif openers:
+            kids = frames.pop()
+            subtree = 1 << openers.pop()
+            for options in kids:
+                subtree |= options[-1]
+            frames[-1].append(_unions(kids) + [subtree])
+    # an up-stroke left open encloses no pair, so whatever completed after
+    # it sits at the top of the forest
+    masks = _unions([options for frame in frames for options in frame])
+    steps = len(word) + 1
+    masks.sort(key=lambda mask: (mask.bit_count(), _bits(mask)))
+    return tuple((mask, steps - 2 * mask.bit_count()) for mask in masks)
+
+
+def _unions(option_lists: list[list[int]]) -> list[int]:
+    """Every union of one member of each list; [0] for none."""
+    if not option_lists:
+        return [0]
+    # the first list is its own product with the empty choice: no copies,
+    # so a chain of nested pairs costs quadratic, not cubic, time
+    combos = option_lists[0]
+    for opts in option_lists[1:]:
+        combos = [s | t for s in combos for t in opts]
+    return combos
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 # Path sets memoised per window.  Neighbouring moves and bijection instances
@@ -91,48 +161,14 @@ _WINDOW_CACHE = 256
 
 @lru_cache(maxsize=_WINDOW_CACHE)
 def latticed_paths(window: SignSequence) -> tuple[LatticedPath, ...]:
-    """All latticed paths of the window.
-
-    These are exactly the down-closed sets of the window matching's pairs;
-    each such set is a union of full subtrees of the nesting forest, chosen
-    by an antichain of subtree roots.  The generic path (nothing flattened)
-    always appears first.
-
-    The forest is walked children first with an explicit stack, so a window
-    nested thousands of pairs deep needs no recursion.
-    """
-    children = _nesting_forest(window.matching().pairs)
-    preorder: list[Pair] = []
-    stack = list(children[None])
-    while stack:
-        pair = stack.pop()
-        preorder.append(pair)
-        stack.extend(children[pair])
-    # options[pair]: the down-closed sets inside pair's subtree
-    options: dict[Pair, list[frozenset[Pair]]] = {}
-    subtree: dict[Pair, frozenset[Pair]] = {}
-    for pair in reversed(preorder):
-        kids = children[pair]
-        subtree[pair] = frozenset({pair}).union(*(subtree[kid] for kid in kids))
-        options[pair] = _unions([options.pop(kid) for kid in kids]) + [subtree[pair]]
-    choices = _unions([options.pop(root) for root in children[None]])
-    paths = sorted(
-        (LatticedPath(window, flat) for flat in set(choices)),
-        key=lambda p: (-p.norm, sorted(p.flattened)),
+    """All latticed paths of the window: one per down-closed set of the
+    window matching's pairs, read off the window's sign-word table.  The
+    generic path (nothing flattened) always appears first."""
+    pair_at = {window.rank(u) - 1: (u, w) for u, w in window.matching().pairs}
+    return tuple(
+        LatticedPath(window, frozenset(pair_at[i] for i in _bits(mask)))
+        for mask, _ in _path_table(window.word)
     )
-    return tuple(paths)
-
-
-def _unions(option_lists: list[list[frozenset[Pair]]]) -> list[frozenset[Pair]]:
-    """Every union of one member of each list; [frozenset()] for none."""
-    if not option_lists:
-        return [frozenset()]
-    # the first list is its own product with the empty choice: no copies,
-    # so a chain of nested pairs costs quadratic, not cubic, time
-    combos = option_lists[0]
-    for opts in option_lists[1:]:
-        combos = [s | t for s in combos for t in opts]
-    return combos
 
 
 def latticed_paths_by_flattening(window: SignSequence) -> frozenset[LatticedPath]:
@@ -278,12 +314,41 @@ def well_nested_collections(
     the outer one.  Each inner pair covers its own opener's rank, so that
     holds at every x exactly when F_inner <= F_outer.
     """
+    m = _perfect_matching(t, openers, closers)
+    pairs = m.all_pairs()
+    per_pair = [
+        [(u, w, LatticedPath.empty())] if u == w
+        else [(u, w, p) for p in latticed_paths(t.between(u, w))]
+        for u, w in pairs
+    ]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    # Only parent/child edges of the nesting forest: inclusion of flattened
+    # sets is transitive, so F_child <= F_parent on every edge gives
+    # F_inner <= F_outer for every nested pair (the outer one is an ancestor).
+    forest = _nesting_forest(m.pairs)
+    relations = [
+        (index[parent], index[child]) for child, parent in forest if parent is not None
+    ]
+    return tuple(
+        make_collection(t, combo)
+        for combo in product(*per_pair)
+        if all(combo[j][2].flattened <= combo[i][2].flattened for i, j in relations)
+    )
+
+
+def _perfect_matching(
+    t: SignSequence, openers: Iterable[int], closers: Iterable[int]
+) -> Matching:
+    """The matching of openers to closers, once it is known to be perfect
+    (self-pairing of common elements allowed) with proper openers among t's
+    minus positions and proper closers among its plus positions;
+    PairingError otherwise."""
     a = frozenset(openers)
     b = frozenset(closers)
-    bad_openers = sorted((a - b) - t.minus)
-    bad_closers = sorted((b - a) - t.plus)
-    if bad_openers or bad_closers:
+    if not ((a - b) <= t.minus and (b - a) <= t.plus):
         problems = []
+        bad_openers = sorted((a - b) - t.minus)
+        bad_closers = sorted((b - a) - t.plus)
         if bad_openers:
             problems.append(f"openers {bad_openers} are not minus positions")
         if bad_closers:
@@ -295,27 +360,73 @@ def well_nested_collections(
             f"matching of {sorted(a)} to {sorted(b)} is not perfect: "
             f"unpaired {sorted(m.unpaired_openers | m.unpaired_closers)}"
         )
-    pairs = m.all_pairs()
-    per_pair = [
-        [(u, w, LatticedPath.empty())] if u == w
-        else [(u, w, p) for p in latticed_paths(t.between(u, w))]
-        for u, w in pairs
-    ]
-    index = {pair: k for k, pair in enumerate(pairs)}
-    # Only parent/child edges of the nesting forest: inclusion of flattened
-    # sets is transitive, so F_child <= F_parent on every edge gives
-    # F_inner <= F_outer for every nested pair (the outer one is an ancestor).
-    forest = _nesting_forest(p for p in pairs if p[0] != p[1])
-    relations = [
-        (index[parent], index[child])
-        for parent, kids in forest.items() if parent is not None
-        for child in kids
-    ]
-    return tuple(
-        make_collection(t, combo)
-        for combo in product(*per_pair)
-        if all(combo[j][2].flattened <= combo[i][2].flattened for i, j in relations)
-    )
+    return m
+
+
+def collection_norms(
+    t: SignSequence, openers: Iterable[int], closers: Iterable[int]
+) -> Counter[int]:
+    """Norm -> number of well-nested collections for the matching of openers
+    to closers, counted without building one.
+
+    Same preconditions and errors as well_nested_collections.  A dynamic
+    programme over the nesting forest, children first: each path of a pair
+    weighs v^norm times, for each child, the sum over the child's paths
+    that flatten nothing the parent's path leaves standing.  Paths are masks
+    over t's ranks (a window's table shifted by its start rank), so a pair
+    is named by its opener's rank in t; as bracket matching is local, the
+    pair a child flattens at an opener is the parent's pair there, and mask
+    inclusion is F_child <= F_parent.  Self-pairs contribute v^0.
+    """
+    forest = _nesting_forest(_perfect_matching(t, openers, closers).pairs)
+    word = t.word
+    # below[pair]: (span, paths) of each child of pair read so far (key
+    # None: the roots), with span the bits of the child's window and paths
+    # (mask, norm -> count) counting every compatible choice inside the
+    # child's subtree
+    below: dict[Pair | None, list[tuple[int, list[tuple[int, dict[int, int]]]]]] = {}
+    for (u, w), parent in reversed(forest):
+        start, stop = t.rank(u), t.rank(w) - 1
+        kids = [(span, paths, {}) for span, paths in below.pop((u, w), ())]
+        out = []
+        for mask, norm in _path_table(word[start:stop]):
+            mask <<= start
+            counts = {norm: 1}
+            for span, paths, sums in kids:
+                # the child's compatible paths depend on mask only inside
+                # the child's window
+                key = mask & span
+                total = sums.get(key)
+                if total is None:
+                    total = sums[key] = _add(c for m, c in paths if not m & ~key)
+                counts = _times(counts, total)
+            out.append((mask, counts))
+        below.setdefault(parent, []).append((((1 << (stop - start)) - 1) << start, out))
+    counts = {0: 1}
+    for _, paths in below.pop(None, ()):
+        counts = _times(counts, _add(c for _, c in paths))
+    return Counter(counts)
+
+
+# Norm -> count maps are summed and multiplied as plain dicts: the DP makes
+# a few of these per path option, and LaurentPolynomial's normalising
+# constructor would cost more than the arithmetic.
+
+
+def _add(terms: Iterable[dict[int, int]]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for term in terms:
+        for norm, count in term.items():
+            out[norm] = out.get(norm, 0) + count
+    return out
+
+
+def _times(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for i, x in f.items():
+        for j, y in g.items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return out
 
 
 def is_valid_path(path: LatticedPath) -> bool:

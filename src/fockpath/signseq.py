@@ -120,9 +120,10 @@ class SignSequence:
     """Disjoint plus and minus positions.
 
     Equality, hashing and repr are those of (plus, minus).  The sorted
-    positions, the generic path's prefix heights and the matching are
-    computed once per object, on first use (``cached_property`` writes the
-    instance ``__dict__``, which the frozen dataclass allows).
+    positions, the sign word, the generic path's prefix heights and the
+    matching are computed once per object, on first use
+    (``cached_property`` writes the instance ``__dict__``, which the frozen
+    dataclass allows).
     """
 
     plus: frozenset[int]
@@ -140,6 +141,12 @@ class SignSequence:
     @cached_property
     def positions(self) -> tuple[int, ...]:
         return tuple(sorted(self.plus | self.minus))
+
+    @cached_property
+    def word(self) -> tuple[bool, ...]:
+        """The order type: True for each plus position, in position order."""
+        plus = self.plus
+        return tuple(p in plus for p in self.positions)
 
     @cached_property
     def prefix_heights(self) -> tuple[int, ...]:

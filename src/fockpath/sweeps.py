@@ -19,9 +19,9 @@ from typing import Iterator
 from .bijection import (
     ConstructionError,
     build_bijection,
-    left_elements,
+    left_norms,
     norm_multisets_match,
-    right_elements,
+    right_norms,
 )
 from .closedform import (
     MoveSpec,
@@ -100,6 +100,8 @@ class FormulaSweepConfig:
 
 # A deeper formula-vs-oracle tier; budgets start at n = 0, one per modulus.
 DEEP_FORMULA_BUDGETS = ((4, 16), (5, 16), (2, 24), (3, 22))
+# A deeper norm-multiset tier: every instance on up to this many positions.
+DEEP_BIJECTION_POSITIONS = 10
 
 
 @_timed
@@ -364,8 +366,8 @@ def _instance_data(t: SignSequence, a, b) -> dict:
         "T": {"plus": sorted(t.plus), "minus": sorted(t.minus)},
         "A": sorted(a),
         "B": sorted(b),
-        "normsL": sorted(el.norm for el in left_elements(t, a, b)),
-        "normsR": sorted(el.norm for el in right_elements(t, a, b)),
+        "normsL": sorted(left_norms(t, a, b).elements()),
+        "normsR": sorted(right_norms(t, a, b).elements()),
     }
 
 
