@@ -3,9 +3,11 @@
 
 Equivalent to the CLI `fockpath verify ...` invocations, collected in one
 place; exits nonzero if any sweep reports a failure.  --deep adds, after the
-default sweeps, a formula sweep at sweeps.DEEP_FORMULA_BUDGETS and an
+default sweeps, a formula sweep at sweeps.DEEP_FORMULA_BUDGETS, an
 exhaustive norm-multiset sweep on up to sweeps.DEEP_BIJECTION_POSITIONS
-positions.
+positions, the explicit bijection on every instance up to
+sweeps.DEEP_CONSTRUCTION_POSITIONS positions and the consistency sweep up
+to size sweeps.DEEP_CONSISTENCY_N.
 """
 
 import argparse
@@ -20,7 +22,8 @@ def main() -> int:
     parser.add_argument("--cache", help="oracle cache directory")
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--deep", action="store_true",
-                        help="also run the deep formula and bijection budgets")
+                        help="also run the deep formula, bijection, construction "
+                             "and consistency budgets")
     args = parser.parse_args()
 
     # The acceptance budgets are the config dataclasses' defaults.
@@ -42,6 +45,11 @@ def main() -> int:
         runs.append(("bijection-deep", lambda: sweeps.run_bijection_sweep(
             sweeps.BijectionSweepConfig(
                 max_positions=sweeps.DEEP_BIJECTION_POSITIONS, samples=0))))
+        runs.append(("construction-deep", lambda: sweeps.run_construction_sweep(
+            sweeps.ConstructionSweepConfig(
+                max_positions=sweeps.DEEP_CONSTRUCTION_POSITIONS))))
+        runs.append(("consistency-deep", lambda: sweeps.run_consistency_sweep(
+            sweeps.ConsistencySweepConfig(max_n=sweeps.DEEP_CONSISTENCY_N))))
 
     all_ok = True
     results = []

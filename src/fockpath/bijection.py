@@ -17,6 +17,18 @@ interior, or split along the plus closest below a removed column).  Every
 structural assumption of the construction is asserted at runtime, and any
 failure raises ConstructionError tagged with the corner that broke, so
 callers can fall back to the multiset check.
+
+The recursion runs in rank space.  An instance is its shape: T's sign
+word, held as the sign sequence on ranks 1..k, and the ranks of A and B.
+An element is a tuple of ints: its column rank, or its valley and marker
+ranks, then one (opener, closer, mask) entry per pair, the mask holding the
+ranks of the openers its path flattens, then its norm.  Each shape's map is
+built once, verified total, injective, onto and norm-preserving against
+the rank-space index sets, and kept in a bounded memo keyed on the shape,
+so the sub-instances the recursion reaches again, and every instance of the
+same order type, are lookups.  build_bijection reads the map of T's shape
+and verifies it once more against the public left_elements and
+right_elements, whose LeftElement and RightElement objects it returns.
 """
 
 from __future__ import annotations
@@ -24,15 +36,16 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .latticepath import (
-    LatticedPath,
     WellNestedCollection,
     collection_norms,
-    is_valid_path,
-    is_well_nested,
-    make_collection,
+    is_valid_mask,
+    mask_collections,
+    masks_well_nested,
     well_nested_collections,
+    window_pairs,
 )
 from .signseq import SignSequence, match_pairs, onto, unpaired_plus, valley_set
 
@@ -41,7 +54,7 @@ class ConstructionError(RuntimeError):
     """The explicit bijection could not be built on this instance.
 
     ``corner`` names the construction step that failed; the instance
-    data rides along for reporting.
+    data rides along for reporting (in ranks when a sub-instance failed).
     """
 
     def __init__(self, corner: str, detail: str, t: SignSequence, a, b):
@@ -95,15 +108,6 @@ def _right_shift(t: SignSequence, d: int, dp: int) -> int:
     return 2 * t.height(dp) - t.height(d) - t.size
 
 
-def _left(t: SignSequence, a, b, c: int, coll: WellNestedCollection) -> LeftElement:
-    return LeftElement(position=c, collection=coll, norm=_left_shift(t, a, b, c) + coll.norm)
-
-
-def _right(t: SignSequence, d: int, dp: int, coll: WellNestedCollection) -> RightElement:
-    norm = _right_shift(t, d, dp) + coll.norm
-    return RightElement(valley=d, marker=dp, collection=coll, norm=norm)
-
-
 def _completions(t: SignSequence, a: frozenset[int], b: frozenset[int]) -> list[int]:
     """The completion columns c of the left index set, with A onto B + c."""
     return [c for c in sorted((t.plus | a) - b) if onto(a, b | {c})]
@@ -122,45 +126,27 @@ def _valleys(
     ]
 
 
-# Index sets memoised per (t, A, B).  The construction recurses into the same
-# sub-instances from neighbouring instances of a sweep, so a small cache shared
-# across build_bijection calls keeps most of the hits at little memory.
-_INDEX_SET_CACHE = 16
-
-
-def left_elements(
-    t: SignSequence, a, b
-) -> tuple[LeftElement, ...]:
-    return _left_elements(t, frozenset(a), frozenset(b))
-
-
-@lru_cache(maxsize=_INDEX_SET_CACHE)
-def _left_elements(
-    t: SignSequence, a: frozenset[int], b: frozenset[int]
-) -> tuple[LeftElement, ...]:
+def left_elements(t: SignSequence, a, b) -> tuple[LeftElement, ...]:
+    a, b = frozenset(a), frozenset(b)
     _check_instance(t, a, b)
     return tuple(
-        _left(t, a, b, c, coll)
+        LeftElement(position=c, collection=coll, norm=_left_shift(t, a, b, c) + coll.norm)
         for c in _completions(t, a, b)
         for coll in well_nested_collections(t, a, b | {c})
     )
 
 
-def right_elements(
-    t: SignSequence, a, b
-) -> tuple[RightElement, ...]:
-    return _right_elements(t, frozenset(a), frozenset(b))
-
-
-@lru_cache(maxsize=_INDEX_SET_CACHE)
-def _right_elements(
-    t: SignSequence, a: frozenset[int], b: frozenset[int]
-) -> tuple[RightElement, ...]:
+def right_elements(t: SignSequence, a, b) -> tuple[RightElement, ...]:
+    a, b = frozenset(a), frozenset(b)
     _check_instance(t, a, b)
     out = []
     for d, markers in _valleys(t, a, b):
         colls = well_nested_collections(t.shift_up(d), a, b | {d})
-        out.extend(_right(t, d, dp, coll) for dp in markers for coll in colls)
+        out.extend(
+            RightElement(valley=d, marker=dp, collection=coll,
+                         norm=_right_shift(t, d, dp) + coll.norm)
+            for dp in markers for coll in colls
+        )
     return tuple(out)
 
 
@@ -208,107 +194,203 @@ def build_bijection(t: SignSequence, a, b) -> dict[LeftElement, RightElement]:
     """
     a, b = frozenset(a), frozenset(b)
     _check_instance(t, a, b)
-    mapping = _build(t, a, b)
-    lefts = left_elements(t, a, b)
-    rights = right_elements(t, a, b)
-    if set(mapping) != set(lefts):
+    rank = {p: r for r, p in enumerate(t.positions, 1)}
+    # an instance on 1..k is its own rank sequence, cached views and all
+    ranked = t if t.positions == tuple(range(1, len(rank) + 1)) else _on_ranks(t.word)
+    mapping = _build(ranked, frozenset(rank[x] for x in a), frozenset(rank[y] for y in b))
+    lefts = {
+        (rank[el.position], _ranked_entries(el.collection, rank), el.norm): el
+        for el in left_elements(t, a, b)
+    }
+    rights = {
+        (rank[el.valley], rank[el.marker], _ranked_entries(el.collection, rank), el.norm): el
+        for el in right_elements(t, a, b)
+    }
+    # the keys carry the public elements' norms, so matching them also
+    # checks the rank-space norms
+    _verify(mapping, lefts.keys(), rights.keys(), t, a, b)
+    return {lefts[el]: rights[img] for el, img in mapping.items()}
+
+
+def _ranked_entries(coll: WellNestedCollection, rank: dict[int, int]) -> tuple:
+    """The collection's (opener, closer, mask) entries in ranks."""
+    return tuple(
+        (rank[x], rank[y], sum(1 << rank[u] for u, _ in path.flattened))
+        for x, y, path in coll.entries
+    )
+
+
+def _verify(mapping: dict, lefts, rights, t, a, b) -> None:
+    """The map is total on the set lefts, injective, onto the set rights
+    and keeps norms."""
+    if mapping.keys() != lefts:
         raise ConstructionError("verify", "map domain differs from the left set", t, a, b)
-    if len(set(mapping.values())) != len(mapping):
+    images = set(mapping.values())
+    if len(images) != len(mapping):
         raise ConstructionError("verify", "map is not injective", t, a, b)
-    if set(mapping.values()) != set(rights):
+    if images != rights:
         raise ConstructionError("verify", "map image differs from the right set", t, a, b)
     for el, img in mapping.items():
-        if el.norm != img.norm:
-            raise ConstructionError(
-                "verify", f"norm {el.norm} mapped to {img.norm}", t, a, b
-            )
-    return mapping
+        if el[-1] != img[-1]:
+            raise ConstructionError("verify", f"norm {el[-1]} mapped to {img[-1]}", t, a, b)
 
 
-def _build(t: SignSequence, a: frozenset[int], b: frozenset[int]):
+def _on_ranks(word: tuple[bool, ...]) -> SignSequence:
+    """The sign sequence of word on ranks 1..k."""
+    return SignSequence(
+        frozenset(r for r, up in enumerate(word, 1) if up),
+        frozenset(r for r, up in enumerate(word, 1) if not up),
+    )
+
+
+# Rank-space maps memoised per shape.  The recursion asks for shapes the
+# sweep has just built (a strip or split keeps the sign word), or built as
+# a smaller instance (the split's reduced word), so a few dozen maps of
+# ints catch most of the repeats: at up to 8 positions a 64-entry memo
+# builds 11,066 shapes for 9,878 instances, and 1,024 entries would still
+# build 10,549.
+_SHAPE_CACHE = 64
+
+
+@lru_cache(maxsize=_SHAPE_CACHE)
+def _build(s: SignSequence, a: frozenset[int], b: frozenset[int]) -> MappingProxyType:
+    """The explicit bijection of the shape (s on ranks 1..k), verified;
+    read-only, as every caller shares it."""
+    word = s.word
+    lefts, rights = _lefts(s, a, b), _rights(s, a, b)
     if not b:
-        return _base_case(t, next(iter(a)))
-    empty_pairs = [
-        (x, y) for x in a for y in b if x < y and not t.between(x, y).plus
-    ]
-    if empty_pairs:
-        return _case_strip(t, a, b, empty_pairs)
-    return _case_split(t, a, b)
+        mapping = _base_case(s, next(iter(a)), lefts)
+    else:
+        empty_pairs = [(x, y) for x in a for y in b if x < y and not any(word[x:y - 1])]
+        if empty_pairs:
+            mapping = _case_strip(s, a, b, lefts, rights, empty_pairs)
+        else:
+            mapping = _case_split(s, a, b, lefts, rights)
+    _verify(mapping, set(lefts), set(rights), s, a, b)
+    return MappingProxyType(mapping)
+
+
+# -- rank-space elements ---------------------------------------------------
+
+
+def _norm(entries) -> int:
+    """Norm of a collection: each genuine window path has one plus its
+    window's length in strokes, less two per flattened pair."""
+    norm = 0
+    for x, y, mask in entries:
+        if x != y:
+            norm += y - x - 2 * mask.bit_count()
+    return norm
+
+
+def _left(t: SignSequence, a, b, c: int, entries) -> tuple:
+    return c, entries, _left_shift(t, a, b, c) + _norm(entries)
+
+
+def _right(t: SignSequence, d: int, dp: int, entries) -> tuple:
+    return d, dp, entries, _right_shift(t, d, dp) + _norm(entries)
+
+
+def _shift_up(word: tuple[bool, ...], d: int) -> tuple[bool, ...]:
+    """The word with rank d flipped from minus to plus (SignSequence.shift_up)."""
+    return word[:d - 1] + (True,) + word[d:]
+
+
+def _lefts(t: SignSequence, a: frozenset[int], b: frozenset[int]) -> tuple:
+    """left_elements in rank space (t on ranks 1..k)."""
+    out = []
+    for c in _completions(t, a, b):
+        shift = _left_shift(t, a, b, c)
+        out.extend(
+            (c, entries, shift + _norm(entries))
+            for entries in mask_collections(t.word, a, b | {c})
+        )
+    return tuple(out)
+
+
+def _rights(t: SignSequence, a: frozenset[int], b: frozenset[int]) -> tuple:
+    """right_elements in rank space (t on ranks 1..k)."""
+    out = []
+    for d, markers in _valleys(t, a, b):
+        colls = [
+            (entries, _norm(entries))
+            for entries in mask_collections(_shift_up(t.word, d), a, b | {d})
+        ]
+        for dp in markers:
+            shift = _right_shift(t, d, dp)
+            out.extend((d, dp, entries, shift + norm) for entries, norm in colls)
+    return tuple(out)
 
 
 # -- base case: a single added column --------------------------------------
 
 
-def _descending_path(t: SignSequence, a: frozenset[int], b: frozenset[int], lo: int, hi: int) -> LatticedPath:
+def _descending_mask(t: SignSequence, a, b, lo: int, hi: int) -> int:
     """Every matched pair of the window (lo, hi) flattened; no up-stroke may
     survive."""
-    window = t.between(lo, hi)
-    m = window.matching()
-    if m.unpaired_openers:
+    pairs, unmatched = window_pairs(t.word, lo, hi)
+    if unmatched:
         raise ConstructionError(
             "base-descending",
-            f"window ({lo},{hi}) keeps unmatched up-strokes at {sorted(m.unpaired_openers)}",
+            f"window ({lo},{hi}) keeps unmatched up-strokes at {sorted(unmatched)}",
             t, a, b,
         )
-    return LatticedPath(window, frozenset(m.pairs))
+    return sum(1 << u for u in pairs)
 
 
-def _base_case(t: SignSequence, a0: int):
+def _base_case(t: SignSequence, a0: int, lefts) -> dict:
     a = frozenset({a0})
     b: frozenset[int] = frozenset()
     valleys = valley_set(t)
-    full = t.matching()
+    unpaired = unpaired_plus(t)
     mapping = {}
-    for el in left_elements(t, a, b):
-        c = el.position
+    for el in lefts:
+        c, entries, _ = el
         if c == a0:
             if a0 in valleys:
-                coll = make_collection(
-                    t.shift_up(a0), [(a0, a0, LatticedPath.empty())]
-                )
-                mapping[el] = _right(t, a0, a0, coll)
+                mapping[el] = _right(t, a0, a0, ((a0, a0, 0),))
             else:
                 later = sorted(v for v in valleys if v > a0)
                 if not later:
                     raise ConstructionError("base", "no valley beyond the added column", t, a, b)
                 d = later[0]
-                path = _descending_path(t, a, b, a0, d)
-                coll = make_collection(t.shift_up(d), [(a0, d, path)])
-                mapping[el] = _right(t, d, d, coll)
+                mapping[el] = _right(t, d, d, ((a0, d, _descending_mask(t, a, b, a0, d)),))
             continue
-        gamma = el.collection.path_of(a0)
-        if c in full.unpaired_openers:
+        gamma = _entry_by_opener(entries, a0)[2]
+        if c in unpaired:
             mapping[el] = _truncation_image(t, a, b, a0, c, gamma, valleys)
         else:
             mapping[el] = _extension_image(t, a, b, a0, c, gamma, valleys)
     return mapping
 
 
+def _flattened(word, lo: int, hi: int, mask: int) -> dict[int, int]:
+    """The flattened pairs of a window path, closer by opener."""
+    return {u: w for u, w in window_pairs(word, lo, hi)[0].items() if mask >> u & 1}
+
+
 def _truncation_image(t, a, b, a0, c, gamma, valleys):
     """Unpaired completion column: cut the path at the last minus position
     not covered by a flattened pair; everything beyond it is forced."""
+    flattened = _flattened(t.word, a0, c, gamma)
     covered = set()
-    for u, w in gamma.flattened:
-        covered.update(x for x in t.positions if u <= x <= w)
+    for u, w in flattened.items():
+        covered.update(range(u, w + 1))
     candidates = [x for x in t.minus if x < c and x not in covered]
     if not candidates:
         raise ConstructionError("base-truncation", "no uncovered minus below the column", t, a, b)
     d = max(candidates)
     if d not in valleys:
         raise ConstructionError("base-truncation", f"cut position {d} is not a valley", t, a, b)
-    kept = frozenset(p for p in gamma.flattened if p[1] < d)
-    if any(u < d <= w for u, w in gamma.flattened - kept):
+    kept = sum(1 << u for u, w in flattened.items() if w < d)
+    if any(u < d <= w for u, w in flattened.items() if w >= d):
         raise ConstructionError("base-truncation", f"a flattened pair straddles {d}", t, a, b)
     if d == a0:
         if kept:
             raise ConstructionError("base-truncation", "flattened pairs below the added column", t, a, b)
-        path = LatticedPath.empty()
-    else:
-        path = LatticedPath(t.between(a0, d), kept)
-        if not is_valid_path(path):
-            raise ConstructionError("base-truncation", "cut path is not a latticed path", t, a, b)
-    coll = make_collection(t.shift_up(d), [(a0, d, path)])
-    return _right(t, d, c, coll)
+    elif not is_valid_mask(t.word, a0, d, kept):
+        raise ConstructionError("base-truncation", "cut path is not a latticed path", t, a, b)
+    return _right(t, d, c, ((a0, d, kept),))
 
 
 def _extension_image(t, a, b, a0, c, gamma, valleys):
@@ -318,25 +400,23 @@ def _extension_image(t, a, b, a0, c, gamma, valleys):
     if not later:
         raise ConstructionError("base-extension", "no valley beyond the paired column", t, a, b)
     d = later[0]
-    window = t.between(a0, d)
-    wpairs = set(window.matching().pairs)
-    if not gamma.flattened <= wpairs:
+    wpairs, _ = window_pairs(t.word, a0, d)
+    if any(wpairs.get(u) != w for u, w in _flattened(t.word, a0, c, gamma).items()):
         raise ConstructionError(
             "base-extension", "existing flattenings are not pairs of the longer window", t, a, b
         )
-    extra = {p for p in wpairs if p[0] > c}
-    ups_between = {x for x in t.plus if c < x < d}
-    if ups_between - {u for u, _ in extra}:
+    extra = {u for u in wpairs if u > c}
+    survivors = {x for x in range(c + 1, d) if t.word[x - 1]} - extra
+    if survivors:
         raise ConstructionError(
             "base-descending",
-            f"up-strokes {sorted(ups_between - {u for u, _ in extra})} survive between {c} and {d}",
+            f"up-strokes {sorted(survivors)} survive between {c} and {d}",
             t, a, b,
         )
-    path = LatticedPath(window, gamma.flattened | extra)
-    if not is_valid_path(path):
+    mask = gamma | sum(1 << u for u in extra)
+    if not is_valid_mask(t.word, a0, d, mask):
         raise ConstructionError("base-extension", "extended path is not a latticed path", t, a, b)
-    coll = make_collection(t.shift_up(d), [(a0, d, path)])
-    return _right(t, d, d, coll)
+    return _right(t, d, d, ((a0, d, mask),))
 
 
 # -- shared reduction steps ------------------------------------------------
@@ -370,8 +450,8 @@ def _reduce(elements, step, shift, corner, t, a, b) -> dict:
     out = {}
     for el in elements:
         image = step(el)
-        if image.norm - el.norm != shift:
-            raise ConstructionError(corner, f"norm shift {image.norm - el.norm} != {shift}", t, a, b)
+        if image[-1] - el[-1] != shift:
+            raise ConstructionError(corner, f"norm shift {image[-1] - el[-1]} != {shift}", t, a, b)
         out[el] = image
     return out
 
@@ -386,95 +466,96 @@ def _assert_partition(parts, whole, corner, t, a, b):
 
 
 def _checked(base, entries, openers, closers, corner, t, a, b, nested_corner=None):
-    """The collection of entries in base, once they are known to still pair
-    openers with closers and to stay well-nested."""
-    if match_pairs(openers, closers).all_pairs() != tuple(sorted((x, y) for x, y, _ in entries)):
+    """The entries, sorted, once they are known to still pair openers with
+    closers and to stay well-nested in the word base."""
+    entries = tuple(sorted(entries))
+    if match_pairs(openers, closers).all_pairs() != tuple((x, y) for x, y, _ in entries):
         raise ConstructionError(corner, "the windows no longer match openers to closers", t, a, b)
-    if not is_well_nested(base, entries):
+    if not masks_well_nested(base, entries):
         raise ConstructionError(nested_corner or corner, "the collection is not well-nested", t, a, b)
-    return make_collection(base, entries)
+    return entries
 
 
-def _reaim(base: SignSequence, entries, old, new, corner, t, a, b) -> list:
-    """The entries with the window closing at old re-read in base as closing
-    at new, keeping its flattened pairs; none of them may reach new."""
+def _reaim(base, entries, old, new, corner, t, a, b) -> list:
+    """The entries with the window closing at old re-read in the word base
+    as closing at new, keeping its flattened pairs; none of them may reach
+    new."""
     carrier = _entry_by_closer(entries, old)
     if carrier is None:
         raise ConstructionError(corner, f"no window closes at {old}", t, a, b)
-    x, _, path = carrier
-    if any(w >= new for _, w in path.flattened):
+    x, _, mask = carrier
+    if any(w >= new for w in _flattened(base, x, old, mask).values()):
         raise ConstructionError(
             corner, f"flattened pairs of the ({x},{old}) window reach past {new}", t, a, b
         )
-    reaimed = LatticedPath(base.between(x, new), path.flattened)
-    if not is_valid_path(reaimed):
+    if not is_valid_mask(base, x, new, mask):
         raise ConstructionError(corner, f"re-aimed path ({x},{new}) is invalid", t, a, b)
-    return [e for e in entries if e is not carrier] + [(x, new, reaimed)]
+    return [e for e in entries if e is not carrier] + [(x, new, mask)]
 
 
 # -- strip case: some pair encloses no plus position ------------------------
 
 
-def _case_strip(t: SignSequence, a: frozenset[int], b: frozenset[int], empty_pairs):
+def _case_strip(t: SignSequence, a, b, lefts, rights, empty_pairs):
+    word = t.word
     a0, b0 = _chosen_pair(a, empty_pairs)
-    window0 = t.between(a0, b0)
-    if window0.plus:
+    if any(word[a0:b0 - 1]):
         raise ConstructionError("strip", "normalisation exposed plus positions", t, a, b)
-    if window0.minus & a:
+    if any(a0 < x < b0 for x in a):
         raise ConstructionError("strip", "normalisation left members of A inside", t, a, b)
     a2, b2 = a - {a0}, b - {b0}
-    shift = -(1 + len(window0.minus))
+    shift = -(1 + word[a0:b0 - 1].count(False))
 
     sub = _build(t, a2, b2)
 
     phi = _reduce(
-        left_elements(t, a, b),
+        lefts,
         lambda el: _strip_left(t, a, b, a2, b2, a0, b0, el),
         shift, "strip", t, a, b,
     )
-    _assert_partition((phi,), left_elements(t, a2, b2), "strip-left", t, a, b)
+    _assert_partition((phi,), sub.keys(), "strip-left", t, a, b)
     psi = _reduce(
-        right_elements(t, a, b),
+        rights,
         lambda rel: _strip_right(t, a, b, a2, b2, a0, b0, rel),
         shift, "strip", t, a, b,
     )
-    _assert_partition((psi,), right_elements(t, a2, b2), "strip-right", t, a, b)
+    _assert_partition((psi,), sub.values(), "strip-right", t, a, b)
 
     inv_psi = {img: rel for rel, img in psi.items()}
     return {el: inv_psi[sub[phi[el]]] for el in phi}
 
 
-def _strip_left(t, a, b, a2, b2, a0, b0, el: LeftElement) -> LeftElement:
-    c = el.position
-    dropped = _entry_by_opener(el.collection.entries, a0)
+def _strip_left(t, a, b, a2, b2, a0, b0, el):
+    c, entries, _ = el
+    dropped = _entry_by_opener(entries, a0)
     if dropped[1] != (a0 if c == a0 else b0):
         raise ConstructionError(
             "strip-pairing", f"{a0} pairs with {dropped[1]} at column {c}", t, a, b
         )
     new_c = b0 if c == a0 else c
-    rest = [e for e in el.collection.entries if e is not dropped]
-    coll = _checked(t, rest, a2, b2 | {new_c}, "strip-pairing", t, a, b, nested_corner="strip")
+    rest = [e for e in entries if e is not dropped]
+    coll = _checked(t.word, rest, a2, b2 | {new_c}, "strip-pairing", t, a, b, nested_corner="strip")
     return _left(t, a2, b2, new_c, coll)
 
 
-def _strip_right(t, a, b, a2, b2, a0, b0, el: RightElement) -> RightElement:
-    d, dp = el.valley, el.marker
-    base = t.shift_up(d)
-    dropped = _entry_by_opener(el.collection.entries, a0)
-    rest = [e for e in el.collection.entries if e is not dropped]
+def _strip_right(t, a, b, a2, b2, a0, b0, el):
+    d, dp, entries, _ = el
+    base = _shift_up(t.word, d)
+    dropped = _entry_by_opener(entries, a0)
+    rest = [e for e in entries if e is not dropped]
     if a0 < d < b0:
         # An interior valley is forced to sit immediately before b0: being a
         # valley leaves no room for further minus positions, and the strip
         # pair encloses no plus.  The stripped opener pairs with d, so its
         # window is forced generic; the window that closed at b0 is re-aimed
         # at d, losing only the stroke at d itself.
-        if t.half_open(d, b0).positions != (b0,):
+        if b0 != d + 1:
             raise ConstructionError(
                 "strip-interior-valley",
                 f"positions remain between interior valley {d} and {b0}",
                 t, a, b,
             )
-        if dropped[1] != d or dropped[2].flattened:
+        if dropped[1] != d or dropped[2]:
             raise ConstructionError(
                 "strip-interior-valley",
                 f"{a0} does not carry the forced generic window to {d}",
@@ -496,102 +577,117 @@ def _strip_right(t, a, b, a2, b2, a0, b0, el: RightElement) -> RightElement:
 # -- split case: every pair encloses a plus position ------------------------
 
 
-def _case_split(t: SignSequence, a: frozenset[int], b: frozenset[int]):
+def _case_split(t: SignSequence, a, b, lefts, rights):
+    word = t.word
     pairs_ab = [(x, y) for x in a for y in b if x < y]
     if not pairs_ab:
         raise ConstructionError("split", "no opener below any removed column", t, a, b)
-    sizes = {p: len(t.between(*p).plus) for p in pairs_ab}
+    sizes = {p: word[p[0]:p[1] - 1].count(True) for p in pairs_ab}
     m0 = min(sizes.values())
     if m0 == 0:
         raise ConstructionError("split", "dispatch error: an empty plus interior remains", t, a, b)
     a0, b0 = _chosen_pair(a, [p for p in pairs_ab if sizes[p] == m0])
-    window0 = t.between(a0, b0)
-    if len(window0.plus) != m0:
+    if word[a0:b0 - 1].count(True) != m0:
         raise ConstructionError("split", "normalisation changed the minimal interior", t, a, b)
-    if window0.minus & a or window0.plus & b:
+    if any(a0 < x < b0 for x in a | b):
         raise ConstructionError("split", "chosen pair keeps A or B members inside", t, a, b)
-    b1 = max(window0.plus)
+    b1 = max(r for r in range(a0 + 1, b0) if word[r - 1])
     btil = (b - {b0}) | {b1}
-    interior = t.between(b1, b0)
-    if interior.plus:
+    if any(word[b1:b0 - 1]):
         raise ConstructionError("split", "plus positions between the split column and the removed column", t, a, b)
-    shift = 1 + len(interior.minus)
+    shift = 1 + word[b1:b0 - 1].count(False)
 
     if not onto(a, btil):
         raise ConstructionError("split", "A is not onto the shifted removal set", t, a, b)
     sub1 = _build(t, a, btil)
     phi1 = _reduce(
-        left_elements(t, a, btil),
+        sub1.keys(),
         lambda el: _split_left_extend(t, a, b, b0, b1, el),
         shift, "split", t, a, b,
     )
-    mstar = max(t.prefix(b0).positions)
+    # the rank just below the removed column
+    mstar = b0 - 1
     psi1 = _reduce(
-        right_elements(t, a, btil),
+        sub1.values(),
         lambda rel: _split_right_extend(t, a, b, a0, b0, b1, mstar, rel),
         shift, "split", t, a, b,
     )
 
     sub2, phi2, psi2 = {}, {}, {}
-    if interior.positions:
-        a2 = min(interior.positions)
-        tprime = SignSequence(t.plus - {b1}, t.minus - {a2})
+    if b0 > b1 + 1:
+        # T' drops the split column b1 and the minus position b1 + 1 after it
         if not onto(a, b):
             raise ConstructionError("split", "A not onto B in the reduced sequence", t, a, b)
-        sub2 = _build(tprime, a, b)
+        sub2 = _build(_on_ranks(word[:b1 - 1] + word[b1 + 1:]), _to_reduced(a, b1), _to_reduced(b, b1))
+        valleys, unpaired = valley_set(t), unpaired_plus(t)
         phi2 = _reduce(
-            left_elements(tprime, a, b),
-            lambda el: _left(
-                t, a, b, el.position,
-                _reinstate_ridge(t, el.collection, b | {el.position}, b1, a2, t, a, b),
-            ),
+            sub2.keys(),
+            lambda el: _split_left_insert(t, a, b, b1, el),
             0, "split", t, a, b,
         )
         psi2 = _reduce(
-            right_elements(tprime, a, b),
-            lambda rel: _split_right_insert(t, a, b, b1, a2, rel),
+            sub2.values(),
+            lambda rel: _split_right_insert(t, a, b, b1, valleys, unpaired, rel),
             0, "split", t, a, b,
         )
-    _assert_partition((phi1, phi2), left_elements(t, a, b), "split-left", t, a, b)
-    _assert_partition((psi1, psi2), right_elements(t, a, b), "split-right", t, a, b)
+    _assert_partition((phi1, phi2), lefts, "split-left", t, a, b)
+    _assert_partition((psi1, psi2), rights, "split-right", t, a, b)
 
     out = {img: psi1[sub1[el]] for el, img in phi1.items()}
     out.update((img, psi2[sub2[el]]) for el, img in phi2.items())
     return out
 
 
-def _split_left_extend(t, a, b, b0, b1, el: LeftElement) -> LeftElement:
-    c = el.position
+def _to_reduced(ranks: frozenset[int], b1: int) -> frozenset[int]:
+    """Ranks of T re-read in T', which lacks ranks b1 and b1 + 1."""
+    return frozenset(r if r < b1 else r - 2 for r in ranks)
+
+
+def _from_reduced(r: int, b1: int) -> int:
+    """A rank of T' re-read in T."""
+    return r if r < b1 else r + 2
+
+
+def _entries_from_reduced(entries, b1: int) -> list:
+    """Entries of T' re-read in T; the masks skip the two missing ranks."""
+    low = (1 << b1) - 1
+    return [
+        (_from_reduced(x, b1), _from_reduced(y, b1), (mask & low) | (mask & ~low) << 2)
+        for x, y, mask in entries
+    ]
+
+
+def _split_left_extend(t, a, b, b0, b1, el):
+    c, entries, _ = el
     if c == b0:
-        return _left(t, a, b, b1, el.collection)
-    rest = _reaim(t, el.collection.entries, b1, b0, "split-pairing", t, a, b)
-    return _left(t, a, b, c, _checked(t, rest, a, b | {c}, "split-pairing", t, a, b))
+        return _left(t, a, b, b1, entries)
+    rest = _reaim(t.word, entries, b1, b0, "split-pairing", t, a, b)
+    return _left(t, a, b, c, _checked(t.word, rest, a, b | {c}, "split-pairing", t, a, b))
 
 
-def _reinstate_ridge(
-    base: SignSequence, coll: WellNestedCollection, closers, b1, a2, t, a, b
-) -> WellNestedCollection:
-    """Reinstate the adjacent plus/minus pair (b1, a2) as a flattened ridge
-    inside every window of coll that spans it, re-reading each window in
-    base; the result must still pair A with closers and stay well-nested."""
-    entries = []
-    for x, y, path in coll.entries:
+def _split_left_insert(t, a, b, b1, el):
+    c = _from_reduced(el[0], b1)
+    coll = _reinstate_ridge(t.word, _entries_from_reduced(el[1], b1), b | {c}, b1, t, a, b)
+    return _left(t, a, b, c, coll)
+
+
+def _reinstate_ridge(base, entries, closers, b1, t, a, b):
+    """Reinstate the adjacent plus/minus pair at (b1, b1 + 1) as a flattened
+    ridge inside every window that spans it, in the word base; the result
+    must still pair A with closers and stay well-nested."""
+    out = []
+    for x, y, mask in entries:
         if x < b1 < y:
-            new = LatticedPath(base.between(x, y), path.flattened | {(b1, a2)})
-        elif x == y:
-            new = path
-        else:
-            new = LatticedPath(base.between(x, y), path.flattened)
-        if not is_valid_path(new):
+            mask |= 1 << b1
+        if not is_valid_mask(base, x, y, mask):
             raise ConstructionError("split-insert", "inserted ridge breaks a path", t, a, b)
-        entries.append((x, y, new))
-    return _checked(base, entries, a, closers, "split-insert", t, a, b)
+        out.append((x, y, mask))
+    return _checked(base, out, a, closers, "split-insert", t, a, b)
 
 
-def _split_right_extend(t, a, b, a0, b0, b1, mstar, rel: RightElement) -> RightElement:
-    d, dp = rel.valley, rel.marker
-    base = t.shift_up(d)
-    entries = rel.collection.entries
+def _split_right_extend(t, a, b, a0, b0, b1, mstar, rel):
+    d, dp, entries, _ = rel
+    base = _shift_up(t.word, d)
     if d == mstar:
         # The split column's window (a0, b1) closes at the valley instead,
         # and the window that closed at the valley moves out to b0.
@@ -607,12 +703,12 @@ def _split_right_extend(t, a, b, a0, b0, b1, mstar, rel: RightElement) -> RightE
     return _right(t, d, dp, _checked(base, entries, a, b | {d}, "split-pairing", t, a, b))
 
 
-def _split_right_insert(t, a, b, b1, a2, rel: RightElement) -> RightElement:
-    d, dp = rel.valley, rel.marker
-    if d not in valley_set(t):
+def _split_right_insert(t, a, b, b1, valleys, unpaired, rel):
+    d, dp = _from_reduced(rel[0], b1), _from_reduced(rel[1], b1)
+    if d not in valleys:
         raise ConstructionError("split-insert", f"{d} is no valley of the full sequence", t, a, b)
-    allowed = {d} | {u for u in unpaired_plus(t) if u > d}
+    allowed = {d} | {u for u in unpaired if u > d}
     if dp not in allowed:
         raise ConstructionError("split-insert", f"marker {dp} is not allowed in the full sequence", t, a, b)
-    coll = _reinstate_ridge(t.shift_up(d), rel.collection, b | {d}, b1, a2, t, a, b)
+    coll = _reinstate_ridge(_shift_up(t.word, d), _entries_from_reduced(rel[2], b1), b | {d}, b1, t, a, b)
     return _right(t, d, dp, coll)

@@ -15,7 +15,10 @@ A window's paths depend only on its sign word, so they are tabulated once
 per word as bitmasks of flattened opener ranks.  ``latticed_paths`` and
 ``well_nested_collections`` build the objects from those tables; where only
 norms are read, ``collection_norms`` counts collections by norm with a
-dynamic programme over the nesting forest and builds nothing.
+dynamic programme over the nesting forest and builds nothing.  The explicit
+bijection works on the masks themselves: ``mask_collections`` enumerates
+collections as (opener rank, closer rank, mask) entries, and
+``masks_well_nested`` and ``is_valid_mask`` check them.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import Iterable, Iterator
 
 from .signseq import Matching, PairingError, SignSequence, match_pairs
@@ -217,24 +220,29 @@ def ambient_heights(t: SignSequence) -> tuple[dict[int, int], list[int]]:
 
 
 def path_profile(
-    t: SignSequence, pair: Pair, path: LatticedPath
-) -> dict[int, int]:
+    word: tuple[bool, ...], heights: list[int], x: int, y: int, mask: int
+) -> list[int]:
     """Absolute heights of a window path anchored on the ambient generic path.
 
-    Keys are grid abscissas in ambient rank units, from the end of the
-    opener's stroke to the start of the closer's stroke.  Flattening a pair
-    lowers exactly the grid points strictly inside it, so both endpoints
-    always sit on the ambient generic path.
+    The window is the strokes of word strictly between ranks x and y, the
+    heights are the word's generic prefix heights, and mask holds the ranks
+    of the flattened pairs' openers.  Entry i is the height at grid point
+    x + i (after the stroke of rank x + i), from the end of the opener's
+    stroke to the start of the closer's stroke.  Flattening a pair lowers
+    exactly the grid points strictly inside it, so both endpoints always sit
+    on the ambient generic path.
     """
-    heights = t.prefix_heights
-    a, b = pair
-    lo = t.rank(a)
-    hi = t.rank(b) - 1
-    flat = [(t.rank(u), t.rank(w)) for u, w in path.flattened]
-    out = {}
-    for x in range(lo, hi + 1):
-        drop = sum(1 for (u, w) in flat if u <= x < w)
-        out[x] = heights[x] - drop
+    out = [heights[x]]
+    # per up-stroke of the window still open: 1 when its pair is flattened
+    flat: list[int] = []
+    drop = 0
+    for r in range(x + 1, y):
+        if word[r - 1]:
+            flat.append(mask >> r & 1)
+            drop += flat[-1]
+        elif flat:
+            drop -= flat.pop()
+        out.append(heights[r] - drop)
     return out
 
 
@@ -281,16 +289,33 @@ def is_well_nested(
     t: SignSequence, entries: Iterable[tuple[int, int, LatticedPath]]
 ) -> bool:
     """Check the nesting condition of a candidate collection against t."""
-    entry_list = list(entries)
+    return masks_well_nested(t.word, [
+        (t.rank(a), t.rank(b), sum(1 << t.rank(u) for u, _ in path.flattened))
+        for a, b, path in entries
+    ])
+
+
+def masks_well_nested(
+    word: tuple[bool, ...], entries: Iterable[tuple[int, int, int]]
+) -> bool:
+    """The nesting condition on (opener rank, closer rank, mask) entries of a
+    candidate collection in word: every inner path's heights are at least
+    the outer path's on the grid points they share (ranks as in
+    path_profile)."""
+    masks = {(x, y): mask for x, y, mask in entries}
+    relations = nested_pair_relations(masks)
+    if not relations:
+        return True
+    heights = list(accumulate((1 if up else -1 for up in word), initial=0))
     profiles = {
-        (a, b): path_profile(t, (a, b), path) for a, b, path in entry_list if a != b
+        (x, y): path_profile(word, heights, x, y, mask)
+        for (x, y), mask in masks.items() if x != y
     }
-    pair_list = [(a, b) for a, b, _ in entry_list]
-    for outer, inner in nested_pair_relations(pair_list):
+    for outer, inner in relations:
         po, pi = profiles[outer], profiles[inner]
-        for x, h in pi.items():
-            if h < po[x]:
-                return False
+        offset = inner[0] - outer[0]
+        if any(h < po[offset + g] for g, h in enumerate(pi)):
+            return False
     return True
 
 
@@ -441,6 +466,72 @@ def is_valid_path(path: LatticedPath) -> bool:
             if u < u2 and w2 < w and (u2, w2) not in path.flattened:
                 return False
     return True
+
+
+# -- paths as rank masks --------------------------------------------------
+#
+# Over a sign word (True for plus), the path of a pair (x, y) of ranks
+# (counted from 1, as SignSequence.rank does) is one int: bit u is set when
+# the pair opened at rank u is flattened.  It is the table of the window's
+# word shifted by the window's first rank, x + 1.
+
+
+def window_pairs(word: tuple[bool, ...], lo: int, hi: int) -> tuple[dict[int, int], list[int]]:
+    """Bracket matching of the strokes strictly between ranks lo and hi:
+    closer by opener, and the openers left unmatched."""
+    pairs: dict[int, int] = {}
+    stack: list[int] = []
+    for r in range(lo + 1, hi):
+        if word[r - 1]:
+            stack.append(r)
+        elif stack:
+            pairs[stack.pop()] = r
+    return pairs, stack
+
+
+def is_valid_mask(word: tuple[bool, ...], lo: int, hi: int, mask: int) -> bool:
+    """is_valid_path on ranks: mask flattens matched pairs of the window
+    strictly between lo and hi, down-closed."""
+    pairs, _ = window_pairs(word, lo, hi)
+    flattened = {u: w for u, w in pairs.items() if mask >> u & 1}
+    if mask != sum(1 << u for u in flattened):
+        return False
+    return all(
+        u2 in flattened
+        for u, w in flattened.items()
+        for u2, w2 in pairs.items()
+        if u < u2 and w2 < w
+    )
+
+
+def mask_collections(
+    word: tuple[bool, ...], openers: Iterable[int], closers: Iterable[int]
+) -> list[tuple[tuple[int, int, int], ...]]:
+    """well_nested_collections on the ranks of word, in the same order: each
+    collection is its (opener, closer, mask) entries sorted by opener, with
+    mask 0 on a self-paired rank.
+
+    The caller guarantees a perfect matching, with proper openers among
+    word's minus ranks and proper closers among its plus ranks.
+    """
+    m = match_pairs(openers, closers)
+    pairs = m.all_pairs()
+    per_pair = [
+        [(u, w, 0)] if u == w
+        else [(u, w, mask << (u + 1)) for mask, _ in _path_table(word[u:w - 1])]
+        for u, w in pairs
+    ]
+    if len(m.pairs) < 2:
+        return list(product(*per_pair))
+    index = {pair: k for k, pair in enumerate(pairs)}
+    relations = [
+        (index[parent], index[child])
+        for child, parent in _nesting_forest(m.pairs) if parent is not None
+    ]
+    return [
+        combo for combo in product(*per_pair)
+        if all(not combo[j][2] & ~combo[i][2] for i, j in relations)
+    ]
 
 
 # -- rendering ------------------------------------------------------------

@@ -102,6 +102,10 @@ class FormulaSweepConfig:
 DEEP_FORMULA_BUDGETS = ((4, 16), (5, 16), (2, 24), (3, 22))
 # A deeper norm-multiset tier: every instance on up to this many positions.
 DEEP_BIJECTION_POSITIONS = 10
+# A deeper explicit-bijection tier: every instance on up to this many positions.
+DEEP_CONSTRUCTION_POSITIONS = 9
+# A deeper consistency tier: every partition up to this size, at e in (2, 3).
+DEEP_CONSISTENCY_N = 18
 
 
 @_timed

@@ -1,10 +1,14 @@
+import hashlib
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fockpath import bijection
 from fockpath.bijection import (
     ConstructionError,
+    LeftElement,
+    RightElement,
     _checked,
     _reaim,
     build_bijection,
@@ -12,7 +16,7 @@ from fockpath.bijection import (
     norm_multisets_match,
     right_elements,
 )
-from fockpath.latticepath import LatticedPath, is_well_nested
+from fockpath.latticepath import LatticedPath, WellNestedCollection, is_well_nested, masks_well_nested
 from fockpath.signseq import SignSequence, onto
 from fockpath.sweeps import iter_exhaustive_instances, sample_instances
 
@@ -136,11 +140,13 @@ def test_checked_rejects_a_changed_pairing():
     assert info.value.corner == "strip-pairing"
 
 
-def test_checked_rejects_a_collection_that_is_not_well_nested():
-    # the inner window dips below the generic outer one at its flattened pair
-    entries = [_window(1, 6), _window(2, 5, {(3, 4)})]
-    assert not is_well_nested(NESTED_T, entries)
-    args = (NESTED_T, entries, {1, 2}, {5, 6})
+def test_checked_rejects_masks_that_are_not_well_nested():
+    # NESTED_T sits on positions 1..6, so its positions are its ranks; the
+    # inner window dips below the generic outer one at its flattened pair
+    assert not is_well_nested(NESTED_T, [_window(1, 6), _window(2, 5, {(3, 4)})])
+    entries = [(1, 6, 0), (2, 5, 1 << 3)]
+    assert not masks_well_nested(NESTED_T.word, entries)
+    args = (NESTED_T.word, entries, {1, 2}, {5, 6})
     with pytest.raises(ConstructionError) as info:
         _checked(*args, "split-pairing", NESTED_T, {1, 2}, {5})
     assert info.value.corner == "split-pairing"
@@ -149,10 +155,10 @@ def test_checked_rejects_a_collection_that_is_not_well_nested():
     assert info.value.corner == "strip"
 
 
-def test_reaim_rejects_a_flattened_pair_past_the_new_closer():
-    entries = [_window(1, 6), _window(2, 5, {(3, 4)})]
+def test_reaim_rejects_a_flattened_mask_past_the_new_closer():
+    entries = [(1, 6, 0), (2, 5, 1 << 3)]
     with pytest.raises(ConstructionError) as info:
-        _reaim(NESTED_T, entries, 5, 4, "strip-truncation", NESTED_T, {1, 2}, {5})
+        _reaim(NESTED_T.word, entries, 5, 4, "strip-truncation", NESTED_T, {1, 2}, {5})
     assert info.value.corner == "strip-truncation"
 
 
@@ -176,3 +182,72 @@ def test_index_sets_still_check_the_instance_on_repeated_calls():
             left_elements(t, [2], [])
         with pytest.raises(ValueError):
             right_elements(t, {1}, {2})
+
+
+# -- the explicit map: pinned, order-type equivariant, memo-independent ------
+
+
+def _map_digest(max_positions):
+    h = hashlib.sha256()
+    for t, a, b in iter_exhaustive_instances(max_positions):
+        mapping = build_bijection(t, a, b)
+        for el in sorted(mapping, key=repr):
+            h.update((repr(el) + "->" + repr(mapping[el])).encode())
+    return h.hexdigest()
+
+
+def test_explicit_map_is_pinned():
+    assert _map_digest(6) == (
+        "d5f2dcce15039f0035a64240cfa0ef0b517ac1cffeb745f2f420ebc7849b2741"
+    )
+
+
+def _relabel_collection(coll, f):
+    def seq(s):
+        return SignSequence(frozenset(map(f, s.plus)), frozenset(map(f, s.minus)))
+
+    return WellNestedCollection(seq(coll.base), tuple(
+        (f(x), f(y), LatticedPath(
+            seq(path.window),
+            frozenset((f(u), f(w)) for u, w in path.flattened),
+            path.degenerate,
+        ))
+        for x, y, path in coll.entries
+    ))
+
+
+def _relabel_map(mapping, f):
+    return {
+        LeftElement(f(el.position), _relabel_collection(el.collection, f), el.norm):
+        RightElement(f(img.valley), f(img.marker),
+                     _relabel_collection(img.collection, f), img.norm)
+        for el, img in mapping.items()
+    }
+
+
+def test_the_map_depends_only_on_the_order_type():
+    def scatter(p):
+        return 3 * p + 7
+
+    for t, a, b in iter_exhaustive_instances(6):
+        scattered = SignSequence(frozenset(map(scatter, t.plus)), frozenset(map(scatter, t.minus)))
+        expected = _relabel_map(build_bijection(t, a, b), scatter)
+        assert build_bijection(scattered, map(scatter, a), map(scatter, b)) == expected
+
+
+def test_a_scattered_instance_is_a_memo_hit():
+    t = SignSequence(frozenset({3, 5, 6}), frozenset({1, 2, 4}))
+    scattered = SignSequence(frozenset({13, 25, 26}), frozenset({1, 12, 24}))
+    build_bijection(t, {1, 2}, {5})
+    before = bijection._build.cache_info()
+    build_bijection(scattered, {1, 12}, {25})
+    after = bijection._build.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_cold_builds_equal_warm_builds():
+    instances = list(iter_exhaustive_instances(6))
+    warm = [build_bijection(t, a, b) for t, a, b in instances]
+    for (t, a, b), mapping in zip(instances, warm):
+        bijection._build.cache_clear()
+        assert build_bijection(t, a, b) == mapping
