@@ -6,15 +6,64 @@ place; exits nonzero if any sweep reports a failure.  --deep adds, after the
 default sweeps, a formula sweep at sweeps.DEEP_FORMULA_BUDGETS, an
 exhaustive norm-multiset sweep on up to sweeps.DEEP_BIJECTION_POSITIONS
 positions, the explicit bijection on every instance up to
-sweeps.DEEP_CONSTRUCTION_POSITIONS positions and the consistency sweep up
-to size sweeps.DEEP_CONSISTENCY_N.
+sweeps.DEEP_CONSTRUCTION_POSITIONS positions, the consistency sweep up
+to size sweeps.DEEP_CONSISTENCY_N, and map-digest: the sha256 of the
+explicit map on every instance up to MAP_DIGEST_POSITIONS positions, printed
+in canonical form, must equal MAP_DIGEST.
 """
 
 import argparse
+import dataclasses
+import hashlib
 import json
 import sys
+import time
 
 from fockpath import sweeps
+from fockpath.bijection import build_bijection
+
+MAP_DIGEST_POSITIONS = 8
+MAP_DIGEST = "e563e2abea7db6ae5972bcc9b67a1c383fe1b1856fe9c21cca5a6453e6116145"
+
+
+def canon(x) -> str:
+    """A print of x that does not depend on how its sets were built: a
+    dataclass as Name(field=..., ...) in field order, a set or frozenset as
+    {...} with its members' prints sorted, a tuple as (a, b) (a 1-tuple as
+    (a)), anything else by repr."""
+    if dataclasses.is_dataclass(x):
+        fields = ", ".join(f"{f.name}={canon(getattr(x, f.name))}"
+                           for f in dataclasses.fields(x))
+        return f"{type(x).__name__}({fields})"
+    if isinstance(x, (set, frozenset)):
+        return "{" + ", ".join(sorted(map(canon, x))) + "}"
+    if isinstance(x, tuple):
+        return "(" + ", ".join(map(canon, x)) + ")"
+    return repr(x)
+
+
+def map_digest(max_positions: int) -> tuple[str, int]:
+    """sha256 over canon(el) + "->" + canon(m[el]) for each instance's map
+    m, keys in canonical order; and the number of maps."""
+    h = hashlib.sha256()
+    maps = 0
+    for t, a, b in sweeps.iter_exhaustive_instances(max_positions):
+        mapping = build_bijection(t, a, b)
+        for key, image in sorted((canon(el), canon(img)) for el, img in mapping.items()):
+            h.update((key + "->" + image).encode())
+        maps += 1
+    return h.hexdigest(), maps
+
+
+def run_map_digest() -> sweeps.SweepReport:
+    start = time.perf_counter()
+    report = sweeps.SweepReport(kind="map-digest")
+    digest, report.checked = map_digest(MAP_DIGEST_POSITIONS)
+    report.notes = {"max_positions": MAP_DIGEST_POSITIONS, "digest": digest}
+    if digest != MAP_DIGEST:
+        report.fail(expected=MAP_DIGEST, got=digest)
+    report.seconds = time.perf_counter() - start
+    return report
 
 
 def main() -> int:
@@ -50,6 +99,7 @@ def main() -> int:
                 max_positions=sweeps.DEEP_CONSTRUCTION_POSITIONS))))
         runs.append(("consistency-deep", lambda: sweeps.run_consistency_sweep(
             sweeps.ConsistencySweepConfig(max_n=sweeps.DEEP_CONSISTENCY_N))))
+        runs.append(("map-digest", run_map_digest))
 
     all_ok = True
     results = []

@@ -21,9 +21,10 @@ Besides the oracle's memo of G, one bounded memo (``functools.lru_cache``,
 ``_ADDITION_CACHE`` entries) keeps the per-partition terms of f_r^(k): the
 partitions lam + S and their exponents, keyed on (lam, e, r, k).  The
 closed-form layers keep bounded memos of their own: ``latticed_paths`` per
-window, ``match_pairs`` per (openers, closers), ``sign_sequence_of`` per
-(lam, e, r) and the bijection's index sets per (t, A, B).  Each returns an
-immutable value, and every runtime check runs as it did without the memo.
+window and its path tables per sign word, ``match_pairs`` per (openers,
+closers), ``sign_sequence_of`` per (lam, e, r) and the bijection's verified
+rank-space maps per shape (64 shapes).  Each returns an immutable value,
+and every runtime check runs as it did without the memo.
 """
 
 from __future__ import annotations
@@ -430,12 +431,18 @@ class CanonicalBasisOracle:
             return self._cache.store(self.e, n, entries)
 
 
+# The layout of a cache level file; a level written in another format is
+# rejected on load like a damaged one.
+CACHE_FORMAT = 1
+
+
 class OracleCache:
     """One JSON-lines file per (e, n) with a checksummed header.
 
     Writes are atomic (temp file + rename); loads verify the payload
-    checksum and raise CacheError on any mismatch so callers recompute
-    rather than trust a damaged file.
+    checksum and the header's ``format`` and raise CacheError on any
+    mismatch so callers recompute rather than trust a damaged or foreign
+    file.
     """
 
     def __init__(self, directory: str | os.PathLike):
@@ -458,7 +465,9 @@ class OracleCache:
             lines.append(json.dumps(record, sort_keys=True))
         payload = "\n".join(lines)
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        header = json.dumps({"e": e, "n": n, "count": len(lines), "sha256": digest})
+        header = json.dumps(
+            {"format": CACHE_FORMAT, "e": e, "n": n, "count": len(lines), "sha256": digest}
+        )
         target = self.path(e, n)
         fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
@@ -487,6 +496,10 @@ class OracleCache:
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         if not isinstance(header, dict) or header.get("sha256") != digest:
             raise CacheError(f"{path}: checksum mismatch")
+        if header.get("format") != CACHE_FORMAT:
+            raise CacheError(
+                f"{path}: cache format {header.get('format')!r}, expected {CACHE_FORMAT}"
+            )
         if header.get("e") != e or header.get("n") != n:
             raise CacheError(f"{path}: header labels wrong level")
         out: dict[Partition, FockVector] = {}

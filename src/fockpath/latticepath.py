@@ -11,13 +11,17 @@ paths are anchored on the generic path of the ambient sequence.
 Equivalently, every pair an inner path flattens is flattened by each path
 enclosing it.
 
-A window's paths depend only on its sign word, so they are tabulated once
-per word as bitmasks of flattened opener ranks.  ``latticed_paths`` and
-``well_nested_collections`` build the objects from those tables; where only
-norms are read, ``collection_norms`` counts collections by norm with a
-dynamic programme over the nesting forest and builds nothing.  The explicit
-bijection works on the masks themselves: ``mask_collections`` enumerates
-collections as (opener rank, closer rank, mask) entries, and
+A window is a rank slice of its sequence: ``SignSequence.restrict`` hands
+it its positions and sign word as slices.  Its paths depend only on that
+word, so they are tabulated once per word as (bitmask of flattened opener
+ranks, norm) entries.  ``latticed_paths`` reads the window's pairs off the
+word (``window_pairs``) and builds one path per table entry, norm included;
+``well_nested_collections`` finds each pair's parent in one stack walk and
+filters the product of the pairs' path sets on the parent/child edges.
+Where only norms are read, ``collection_norms`` counts collections by norm
+with a dynamic programme over the nesting forest and builds nothing.  The
+explicit bijection works on the masks themselves: ``mask_collections``
+enumerates collections as (opener rank, closer rank, mask) entries, and
 ``masks_well_nested`` and ``is_valid_mask`` check them.
 """
 
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from typing import Iterable, Iterator
 
@@ -43,13 +47,16 @@ class LatticedPath:
     ``degenerate`` marks the empty path attached to a self-paired position;
     it has no window, no strokes, and norm 0.  A genuine window with no
     interior positions instead carries the zero-step path of norm 1.
+
+    ``norm`` is a cached view: ``latticed_paths`` fills it from the word's
+    path table, and any other path computes it on first read.
     """
 
     window: SignSequence
     flattened: frozenset[Pair] = frozenset()
     degenerate: bool = False
 
-    @property
+    @cached_property
     def norm(self) -> int:
         if self.degenerate:
             return 0
@@ -76,6 +83,10 @@ class LatticedPath:
     @classmethod
     def empty(cls) -> "LatticedPath":
         return cls(SignSequence(frozenset(), frozenset()), frozenset(), degenerate=True)
+
+
+# The path of every self-paired position; frozen, so collections share it.
+_EMPTY = LatticedPath.empty()
 
 
 def _nesting_forest(pairs: Iterable[Pair]) -> list[tuple[Pair, Pair | None]]:
@@ -165,13 +176,21 @@ _WINDOW_CACHE = 256
 @lru_cache(maxsize=_WINDOW_CACHE)
 def latticed_paths(window: SignSequence) -> tuple[LatticedPath, ...]:
     """All latticed paths of the window: one per down-closed set of the
-    window matching's pairs, read off the window's sign-word table.  The
-    generic path (nothing flattened) always appears first."""
-    pair_at = {window.rank(u) - 1: (u, w) for u, w in window.matching().pairs}
-    return tuple(
-        LatticedPath(window, frozenset(pair_at[i] for i in _bits(mask)))
-        for mask, _ in _path_table(window.word)
-    )
+    window matching's pairs, read off the window's sign-word table, norms
+    included.  The generic path (nothing flattened) always appears first."""
+    positions, word = window.positions, window.word
+    pairs, _ = window_pairs(word, 0, len(word) + 1)
+    # (mask bit, pair of positions) by opener; window_pairs counts ranks
+    # from 1, mask bits from 0
+    bits = [
+        (u - 1, (positions[u - 1], positions[w - 1])) for u, w in sorted(pairs.items())
+    ]
+    out = []
+    for mask, norm in _path_table(word):
+        path = LatticedPath(window, frozenset([pair for i, pair in bits if mask >> i & 1]))
+        path.__dict__["norm"] = norm
+        out.append(path)
+    return tuple(out)
 
 
 def latticed_paths_by_flattening(window: SignSequence) -> frozenset[LatticedPath]:
@@ -339,25 +358,31 @@ def well_nested_collections(
     the outer one.  Each inner pair covers its own opener's rank, so that
     holds at every x exactly when F_inner <= F_outer.
     """
-    m = _perfect_matching(t, openers, closers)
-    pairs = m.all_pairs()
-    per_pair = [
-        [(u, w, LatticedPath.empty())] if u == w
-        else [(u, w, p) for p in latticed_paths(t.between(u, w))]
-        for u, w in pairs
-    ]
-    index = {pair: k for k, pair in enumerate(pairs)}
-    # Only parent/child edges of the nesting forest: inclusion of flattened
-    # sets is transitive, so F_child <= F_parent on every edge gives
-    # F_inner <= F_outer for every nested pair (the outer one is an ancestor).
-    forest = _nesting_forest(m.pairs)
-    relations = [
-        (index[parent], index[child]) for child, parent in forest if parent is not None
-    ]
+    per_pair = []
+    # (child, parent) indices into per_pair for each parent/child edge of
+    # the nesting forest.  Only those edges: inclusion of flattened sets is
+    # transitive, so F_child <= F_parent on every edge gives F_inner <=
+    # F_outer for every nested pair (the outer one is an ancestor).
+    edges = []
+    # the genuine pairs enclosing the current opener, as (index, closer);
+    # pairs come sorted by opener and never cross, so one whose closer lies
+    # left of the opener encloses nothing from here on
+    stack: list[tuple[int, int]] = []
+    for k, (u, w) in enumerate(_perfect_matching(t, openers, closers).all_pairs()):
+        if u == w:
+            per_pair.append([(u, w, _EMPTY)])
+            continue
+        while stack and stack[-1][1] < u:
+            stack.pop()
+        if stack:
+            edges.append((k, stack[-1][0]))
+        stack.append((k, w))
+        per_pair.append([(u, w, p) for p in latticed_paths(t.between(u, w))])
+    # each combo is in opener order already, as the entries must be
     return tuple(
-        make_collection(t, combo)
+        WellNestedCollection(t, combo)
         for combo in product(*per_pair)
-        if all(combo[j][2].flattened <= combo[i][2].flattened for i, j in relations)
+        if all(combo[j][2].flattened <= combo[i][2].flattened for j, i in edges)
     )
 
 

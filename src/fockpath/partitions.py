@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import ge
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -24,7 +25,12 @@ class Comparison(enum.IntEnum):
 
 def check_partition(parts: Iterable[int]) -> Partition:
     """Validate and normalise an iterable of parts into a partition tuple."""
-    p = tuple(int(x) for x in parts)
+    p = tuple(map(int, parts))
+    # one C-level pass accepts the valid input: weakly decreasing parts are
+    # all positive when the last one is
+    if not p or (p[-1] > 0 and all(map(ge, p, p[1:]))):
+        return p
+    # the loop finds the first bad part, for the message
     for i, x in enumerate(p):
         if x <= 0:
             raise ValueError(f"parts must be positive, got {x}")

@@ -123,7 +123,8 @@ class SignSequence:
     positions, the sign word, the generic path's prefix heights and the
     matching are computed once per object, on first use
     (``cached_property`` writes the instance ``__dict__``, which the frozen
-    dataclass allows).
+    dataclass allows); ``restrict`` fills a window's positions and word
+    from this sequence's.
     """
 
     plus: frozenset[int]
@@ -204,13 +205,12 @@ class SignSequence:
         else:
             hi = (bisect_right if include_upper else bisect_left)(positions, upper)
         window = positions[lo:hi]
-        plus = self.plus
-        out = SignSequence(
-            frozenset(x for x in window if x in plus),
-            frozenset(x for x in window if x not in plus),
-        )
-        # The window is already sorted: spare the new sequence its sort.
+        members = frozenset(window)
+        out = SignSequence(members & self.plus, members - self.plus)
+        # A window is a rank slice: its sorted positions and its sign word
+        # are slices of this sequence's, so spare the new one its sort.
         out.__dict__["positions"] = window
+        out.__dict__["word"] = self.word[lo:hi]
         return out
 
     def suffix(self, a: int) -> "SignSequence":

@@ -1,4 +1,6 @@
 import hashlib
+import importlib.util
+import os
 from collections import Counter
 
 import pytest
@@ -251,3 +253,25 @@ def test_cold_builds_equal_warm_builds():
     for (t, a, b), mapping in zip(instances, warm):
         bijection._build.cache_clear()
         assert build_bijection(t, a, b) == mapping
+
+
+def _acceptance_script():
+    path = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_acceptance.py")
+    spec = importlib.util.spec_from_file_location("run_acceptance", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_canonical_map_digest_ignores_set_build_order():
+    script = _acceptance_script()
+    path = LatticedPath(SignSequence({3, 1}, {2, 4}), frozenset({(3, 4), (1, 2)}))
+    assert script.canon(path) == (
+        "LatticedPath(window=SignSequence(plus={1, 3}, minus={2, 4}), "
+        "flattened={(1, 2), (3, 4)}, degenerate=False)"
+    )
+    assert script.canon((5,)) == "(5)"
+    # the --deep step pins the map on up to 8 positions; this is its <=6 digest
+    assert script.map_digest(6) == (
+        "9965cd869a6569223b252a0ff8378a3cfca36a5819708335b2ecd55fe5ff5f3c", 804
+    )

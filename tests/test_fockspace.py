@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import random
 import sys
@@ -8,6 +9,7 @@ import warnings
 import pytest
 
 from fockpath.fockspace import (
+    CACHE_FORMAT,
     CacheError,
     CanonicalBasisOracle,
     ERegularError,
@@ -120,8 +122,11 @@ def test_saved_levels_keep_their_bytes(tmp_path):
         for n in range(max_n + 1):
             with open(oracle.save_level(n), "rb") as fh:
                 digest.update(fh.read())
+    # with '"format": 1, ' cut from each header, the files hash to
+    # 1b8a23c692165c84d0a26967273236c447c9be028edde672d7e5c6b3abc29ef9, the
+    # digest of the levels written before the header carried a format
     assert digest.hexdigest() == (
-        "1b8a23c692165c84d0a26967273236c447c9be028edde672d7e5c6b3abc29ef9"
+        "a7c6a718fe50ffe8e628cc7400799a954604d7b343011adcf45e800d32a6f979"
     )
 
 
@@ -312,6 +317,37 @@ def test_corrupt_cache_level_is_reported_and_rebuilt(tmp_path):
         warnings.simplefilter("error")
         oracle.element((4, 1))
     assert oracle.cache_discards == 1
+
+
+def _rewrite_header(path, **changes):
+    """Rewrite a level file's header; the payload and its checksum stay."""
+    head, _, payload = open(path, encoding="utf-8").read().partition("\n")
+    header = json.loads(head)
+    for key, value in changes.items():
+        if value is None:
+            header.pop(key)
+        else:
+            header[key] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header) + "\n" + payload)
+
+
+@pytest.mark.parametrize("fmt, message", [
+    (None, "cache format None"),
+    (CACHE_FORMAT + 1, f"cache format {CACHE_FORMAT + 1}"),
+])
+def test_cache_level_of_another_format_is_discarded(tmp_path, fmt, message):
+    path = CanonicalBasisOracle(2, cache_dir=tmp_path).save_level(5)
+    assert OracleCache(tmp_path).load(2, 5)
+    _rewrite_header(path, format=fmt)
+    with pytest.raises(CacheError, match=message):
+        OracleCache(tmp_path).load(2, 5)
+    oracle = CanonicalBasisOracle(2, cache_dir=tmp_path)
+    with pytest.warns(RuntimeWarning, match=message):
+        rebuilt = oracle.element((3, 2))
+    assert oracle.cache_discards == 1 and oracle.levels_loaded == 0
+    assert rebuilt.vector == CanonicalBasisOracle(2).element((3, 2)).vector
+    assert not os.path.exists(path)
 
 
 def test_cache_missing_directory_is_created(tmp_path):

@@ -95,6 +95,29 @@ def test_heights_stay_below_generic_with_same_endpoints(window):
             assert h <= heights[k]
 
 
+def test_windows_keep_the_views_of_a_fresh_sequence():
+    # restrict fills a window's positions and word, and latticed_paths its
+    # paths' norms; each must be what a sequence or path built afresh computes
+    for k in range(9):
+        for mask in range(2**k):
+            t = SignSequence(
+                frozenset(i + 1 for i in range(k) if mask >> i & 1),
+                frozenset(i + 1 for i in range(k) if not mask >> i & 1),
+            )
+            for lo, hi in combinations(range(k + 2), 2):
+                for w in (t.between(lo, hi), t.half_open(lo, hi)):
+                    fresh = SignSequence(w.plus, w.minus)
+                    assert w == fresh
+                    assert w.positions == fresh.positions
+                    assert w.word == fresh.word
+                    assert w.prefix_heights == fresh.prefix_heights
+                    assert w.matching() == fresh.matching()
+                    for path in latticed_paths(w):
+                        norm = 1 + len(w.positions) - 2 * len(path.flattened)
+                        assert path.norm == norm
+                        assert LatticedPath(fresh, path.flattened).norm == norm
+
+
 def test_max_norm_attained_uniquely_by_generic():
     for window in [NINE_STEP, SignSequence(frozenset({1, 2}), frozenset({3, 4}))]:
         paths = latticed_paths(window)

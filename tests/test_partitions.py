@@ -6,6 +6,7 @@ from fockpath.partitions import (
     add_cell,
     beta_set,
     boundary_nodes,
+    check_partition,
     compare_classes,
     dominates,
     format_partition,
@@ -238,3 +239,24 @@ def test_add_cell_accepts_exactly_the_addable_nodes():
                     else:
                         with pytest.raises(ValueError, match="not an addable node"):
                             add_cell(lam, (i, j))
+
+
+@pytest.mark.parametrize("parts, message", [
+    ((2, 0), "parts must be positive, got 0"),
+    ([1, 2], "parts must be weakly decreasing, got (1, 2)"),
+    ((3, -1, 2), "parts must be positive, got -1"),
+    ((3, 1, 2, 0), "parts must be weakly decreasing, got (3, 1, 2, 0)"),
+])
+def test_check_partition_messages(parts, message):
+    with pytest.raises(ValueError) as info:
+        check_partition(parts)
+    assert str(info.value) == message
+
+
+def test_check_partition_normalises_any_iterable_of_ints():
+    assert check_partition([3, 3, 1]) == (3, 3, 1)
+    assert check_partition(x for x in (4, 2, 2)) == (4, 2, 2)
+    assert check_partition(["2", 1.0]) == (2, 1)
+    assert check_partition(()) == ()
+    with pytest.raises(ValueError):
+        check_partition(["x"])
