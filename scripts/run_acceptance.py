@@ -3,13 +3,13 @@
 
 Equivalent to the CLI `fockpath verify ...` invocations, collected in one
 place; exits nonzero if any sweep reports a failure.  --deep adds, after the
-default sweeps, a formula sweep at sweeps.DEEP_FORMULA_BUDGETS, an
-exhaustive norm-multiset sweep on up to sweeps.DEEP_BIJECTION_POSITIONS
-positions, the explicit bijection on every instance up to
-sweeps.DEEP_CONSTRUCTION_POSITIONS positions, the consistency sweep up
-to size sweeps.DEEP_CONSISTENCY_N, and map-digest: the sha256 of the
-explicit map on every instance up to MAP_DIGEST_POSITIONS positions, printed
-in canonical form, must equal MAP_DIGEST.
+default sweeps, a formula sweep at sweeps.DEEP_FORMULA_BUDGETS, a branching
+sweep at sweeps.DEEP_BRANCHING_BUDGETS, an exhaustive norm-multiset sweep on
+up to sweeps.DEEP_BIJECTION_POSITIONS positions, the explicit bijection on
+every instance up to sweeps.DEEP_CONSTRUCTION_POSITIONS positions, the
+consistency sweep up to size sweeps.DEEP_CONSISTENCY_N, and map-digest: the
+sha256 of the explicit map on every instance up to MAP_DIGEST_POSITIONS
+positions, printed in canonical form, must equal MAP_DIGEST.
 """
 
 import argparse
@@ -71,8 +71,8 @@ def main() -> int:
     parser.add_argument("--cache", help="oracle cache directory")
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--deep", action="store_true",
-                        help="also run the deep formula, bijection, construction "
-                             "and consistency budgets")
+                        help="also run the deep formula, branching, bijection, "
+                             "construction and consistency budgets")
     args = parser.parse_args()
 
     # The acceptance budgets are the config dataclasses' defaults.
@@ -91,6 +91,9 @@ def main() -> int:
         runs.append(("formula-deep", lambda: sweeps.run_formula_sweep(
             sweeps.FormulaSweepConfig(budgets=sweeps.DEEP_FORMULA_BUDGETS,
                                       cache_dir=args.cache))))
+        runs.append(("branching-deep", lambda: sweeps.run_branching_sweep(
+            sweeps.BranchingSweepConfig(budgets=sweeps.DEEP_BRANCHING_BUDGETS,
+                                        cache_dir=args.cache))))
         runs.append(("bijection-deep", lambda: sweeps.run_bijection_sweep(
             sweeps.BijectionSweepConfig(
                 max_positions=sweeps.DEEP_BIJECTION_POSITIONS, samples=0))))

@@ -11,6 +11,10 @@ positions, |A| = |B| + 1 and A onto B:
   itself or an unpaired plus beyond it, and a well-nested collection for
   the matching of A to B + d in T with d flipped to plus.
 
+Both index sets take their columns from one plan per instance, a single
+pass over the sign word and the ranks of A and B (``_plan``); left_norms
+and right_norms count each column's collections on ranks (mask_norms).
+
 The two norm multisets always agree; build_bijection produces an explicit
 norm-preserving bijection by recursion (strip a pair with empty plus
 interior, or split along the plus closest below a removed column).  Every
@@ -40,9 +44,9 @@ from types import MappingProxyType
 
 from .latticepath import (
     WellNestedCollection,
-    collection_norms,
     is_valid_mask,
     mask_collections,
+    mask_norms,
     masks_well_nested,
     well_nested_collections,
     window_pairs,
@@ -92,60 +96,68 @@ def _check_instance(t: SignSequence, a: frozenset[int], b: frozenset[int]) -> No
         raise ValueError(f"A={sorted(a)} is not onto B={sorted(b)}")
 
 
-def _left_shift(t: SignSequence, a, b, c: int) -> int:
-    """Norm of a left element at column c, less its collection's norm."""
-    # t.suffix(c).size is t.size - t.height(c)
-    return (
-        2 * (sum(1 for x in b if x > c) - sum(1 for x in a if x > c))
-        + t.height(c) - t.size
-    )
+def _ranks(t: SignSequence, a, b) -> tuple[frozenset[int], frozenset[int]]:
+    """The ranks of A and B in t."""
+    rank = {p: r for r, p in enumerate(t.positions, 1)}
+    return frozenset(rank[x] for x in a), frozenset(rank[y] for y in b)
 
 
-def _right_shift(t: SignSequence, d: int, dp: int) -> int:
-    """Norm of a right element at valley d and marker dp, less its
-    collection's norm."""
-    # t.half_open(d, dp).size is t.height(dp) - t.height(d)
-    return 2 * t.height(dp) - t.height(d) - t.size
+def _plan(word: tuple[bool, ...], a: frozenset[int], b: frozenset[int]) -> tuple[list, list]:
+    """The completion columns with their left shifts and the valleys with
+    their (marker, right shift) lists, ascending, of the instance on ranks
+    (a shift is an element's norm less its collection's).
 
-
-def _completions(t: SignSequence, a: frozenset[int], b: frozenset[int]) -> list[int]:
-    """The completion columns c of the left index set, with A onto B + c."""
-    return [c for c in sorted((t.plus | a) - b) if onto(a, b | {c})]
-
-
-def _valleys(
-    t: SignSequence, a: frozenset[int], b: frozenset[int]
-) -> list[tuple[int, list[int]]]:
-    """The valleys d of the right index set, with A onto B + d, each with
-    its markers: d itself and the unpaired plus positions beyond it."""
-    unpaired = unpaired_plus(t)
-    return [
-        (d, sorted({d} | {u for u in unpaired if u > d}))
-        for d in sorted(valley_set(t))
-        if onto(a, b | {d})
-    ]
+    One pass from the right.  As A is onto B and |A| = |B| + 1, A is onto
+    B + r exactly when no suffix beyond r holds more of A than of B, so the
+    pass stops at the first rank that fails.  A valley is a minus rank, and
+    an unpaired plus a plus rank, where the path is as low as anywhere after.
+    """
+    completions, valleys, unpaired = [], [], []
+    # over the ranks beyond r: #B - #A, the generic path's rise, and the
+    # largest rise from any of them (r is as low as they when rise >= top)
+    beyond = rise = top = 0
+    for r in range(len(word), 0, -1):
+        if beyond < 0:
+            break
+        up = word[r - 1]
+        if (up or r in a) and r not in b:
+            completions.append((r, 2 * beyond - rise))
+        if rise >= top:
+            top = rise
+            if up:
+                unpaired.append((r, rise))
+            else:
+                markers = [(u, rise - 2 * ru) for u, ru in reversed(unpaired)]
+                valleys.append((r, [(r, -rise)] + markers))
+        beyond += (r in b) - (r in a)
+        rise += 1 if up else -1
+    return completions[::-1], valleys[::-1]
 
 
 def left_elements(t: SignSequence, a, b) -> tuple[LeftElement, ...]:
     a, b = frozenset(a), frozenset(b)
     _check_instance(t, a, b)
-    return tuple(
-        LeftElement(position=c, collection=coll, norm=_left_shift(t, a, b, c) + coll.norm)
-        for c in _completions(t, a, b)
-        for coll in well_nested_collections(t, a, b | {c})
-    )
+    out = []
+    for c, shift in _plan(t.word, *_ranks(t, a, b))[0]:
+        c = t.positions[c - 1]
+        out.extend(
+            LeftElement(position=c, collection=coll, norm=shift + coll.norm)
+            for coll in well_nested_collections(t, a, b | {c})
+        )
+    return tuple(out)
 
 
 def right_elements(t: SignSequence, a, b) -> tuple[RightElement, ...]:
     a, b = frozenset(a), frozenset(b)
     _check_instance(t, a, b)
     out = []
-    for d, markers in _valleys(t, a, b):
+    for d, markers in _plan(t.word, *_ranks(t, a, b))[1]:
+        d = t.positions[d - 1]
         colls = well_nested_collections(t.shift_up(d), a, b | {d})
         out.extend(
-            RightElement(valley=d, marker=dp, collection=coll,
-                         norm=_right_shift(t, d, dp) + coll.norm)
-            for dp in markers for coll in colls
+            RightElement(valley=d, marker=t.positions[dp - 1], collection=coll,
+                         norm=shift + coll.norm)
+            for dp, shift in markers for coll in colls
         )
     return tuple(out)
 
@@ -154,10 +166,10 @@ def left_norms(t: SignSequence, a, b) -> Counter[int]:
     """Norm -> number of left elements, counted without building them."""
     a, b = frozenset(a), frozenset(b)
     _check_instance(t, a, b)
+    word, (a, b) = t.word, _ranks(t, a, b)
     out: Counter[int] = Counter()
-    for c in _completions(t, a, b):
-        shift = _left_shift(t, a, b, c)
-        for norm, count in collection_norms(t, a, b | {c}).items():
+    for c, shift in _plan(word, a, b)[0]:
+        for norm, count in mask_norms(word, a, b | {c}).items():
             out[norm + shift] += count
     return out
 
@@ -166,11 +178,11 @@ def right_norms(t: SignSequence, a, b) -> Counter[int]:
     """Norm -> number of right elements, counted without building them."""
     a, b = frozenset(a), frozenset(b)
     _check_instance(t, a, b)
+    word, (a, b) = t.word, _ranks(t, a, b)
     out: Counter[int] = Counter()
-    for d, markers in _valleys(t, a, b):
-        counts = collection_norms(t.shift_up(d), a, b | {d})
-        for dp in markers:
-            shift = _right_shift(t, d, dp)
+    for d, markers in _plan(word, a, b)[1]:
+        counts = mask_norms(_shift_up(word, d), a, b | {d})
+        for _, shift in markers:
             for norm, count in counts.items():
                 out[norm + shift] += count
     return out
@@ -257,7 +269,7 @@ def _build(s: SignSequence, a: frozenset[int], b: frozenset[int]) -> MappingProx
     """The explicit bijection of the shape (s on ranks 1..k), verified;
     read-only, as every caller shares it."""
     word = s.word
-    lefts, rights = _lefts(s, a, b), _rights(s, a, b)
+    lefts, rights = _index_sets(word, a, b)
     if not b:
         mapping = _base_case(s, next(iter(a)), lefts)
     else:
@@ -284,11 +296,15 @@ def _norm(entries) -> int:
 
 
 def _left(t: SignSequence, a, b, c: int, entries) -> tuple:
-    return c, entries, _left_shift(t, a, b, c) + _norm(entries)
+    # _plan's left shift, with #B - #A beyond c counted directly
+    h = t.prefix_heights
+    beyond = sum(1 for y in b if y > c) - sum(1 for x in a if x > c)
+    return c, entries, 2 * beyond + h[c] - h[-1] + _norm(entries)
 
 
 def _right(t: SignSequence, d: int, dp: int, entries) -> tuple:
-    return d, dp, entries, _right_shift(t, d, dp) + _norm(entries)
+    h = t.prefix_heights
+    return d, dp, entries, 2 * h[dp] - h[d] - h[-1] + _norm(entries)
 
 
 def _shift_up(word: tuple[bool, ...], d: int) -> tuple[bool, ...]:
@@ -296,30 +312,24 @@ def _shift_up(word: tuple[bool, ...], d: int) -> tuple[bool, ...]:
     return word[:d - 1] + (True,) + word[d:]
 
 
-def _lefts(t: SignSequence, a: frozenset[int], b: frozenset[int]) -> tuple:
-    """left_elements in rank space (t on ranks 1..k)."""
-    out = []
-    for c in _completions(t, a, b):
-        shift = _left_shift(t, a, b, c)
-        out.extend(
-            (c, entries, shift + _norm(entries))
-            for entries in mask_collections(t.word, a, b | {c})
-        )
-    return tuple(out)
-
-
-def _rights(t: SignSequence, a: frozenset[int], b: frozenset[int]) -> tuple:
-    """right_elements in rank space (t on ranks 1..k)."""
-    out = []
-    for d, markers in _valleys(t, a, b):
+def _index_sets(word: tuple[bool, ...], a: frozenset[int], b: frozenset[int]) -> tuple:
+    """left_elements and right_elements in rank space."""
+    completions, valleys = _plan(word, a, b)
+    lefts = tuple(
+        (c, entries, shift + _norm(entries))
+        for c, shift in completions
+        for entries in mask_collections(word, a, b | {c})
+    )
+    rights = []
+    for d, markers in valleys:
         colls = [
             (entries, _norm(entries))
-            for entries in mask_collections(_shift_up(t.word, d), a, b | {d})
+            for entries in mask_collections(_shift_up(word, d), a, b | {d})
         ]
-        for dp in markers:
-            shift = _right_shift(t, d, dp)
-            out.extend((d, dp, entries, shift + norm) for entries, norm in colls)
-    return tuple(out)
+        rights.extend(
+            (d, dp, entries, shift + norm) for dp, shift in markers for entries, norm in colls
+        )
+    return lefts, tuple(rights)
 
 
 # -- base case: a single added column --------------------------------------

@@ -18,11 +18,14 @@ ranks, norm) entries.  ``latticed_paths`` reads the window's pairs off the
 word (``window_pairs``) and builds one path per table entry, norm included;
 ``well_nested_collections`` finds each pair's parent in one stack walk and
 filters the product of the pairs' path sets on the parent/child edges.
-Where only norms are read, ``collection_norms`` counts collections by norm
-with a dynamic programme over the nesting forest and builds nothing.  The
-explicit bijection works on the masks themselves: ``mask_collections``
-enumerates collections as (opener rank, closer rank, mask) entries, and
-``masks_well_nested`` and ``is_valid_mask`` check them.
+
+The explicit bijection and the norm counts work on masks over the word's
+ranks, off one bracket scan that gives each pair with its parent:
+``mask_collections`` enumerates collections as (opener rank, closer rank,
+mask) entries, ``mask_norms`` counts them by norm with a dynamic programme
+over the nesting forest, building nothing, and ``collection_norms`` is
+``mask_norms`` behind the public argument check.  ``masks_well_nested`` and
+``is_valid_mask`` check entries.
 """
 
 from __future__ import annotations
@@ -87,20 +90,6 @@ class LatticedPath:
 
 # The path of every self-paired position; frozen, so collections share it.
 _EMPTY = LatticedPath.empty()
-
-
-def _nesting_forest(pairs: Iterable[Pair]) -> list[tuple[Pair, Pair | None]]:
-    """Non-crossing pairs by opener, each with the pair directly enclosing
-    it (None for a root).  A parent opens before its children, so reading
-    the list backwards visits children first."""
-    out: list[tuple[Pair, Pair | None]] = []
-    stack: list[Pair] = []
-    for pair in sorted(pairs):
-        while stack and not (stack[-1][0] < pair[0] and pair[1] < stack[-1][1]):
-            stack.pop()
-        out.append((pair, stack[-1] if stack else None))
-        stack.append(pair)
-    return out
 
 
 # Path tables memoised per sign word.  A window's latticed paths depend only
@@ -419,43 +408,13 @@ def collection_norms(
     """Norm -> number of well-nested collections for the matching of openers
     to closers, counted without building one.
 
-    Same preconditions and errors as well_nested_collections.  A dynamic
-    programme over the nesting forest, children first: each path of a pair
-    weighs v^norm times, for each child, the sum over the child's paths
-    that flatten nothing the parent's path leaves standing.  Paths are masks
-    over t's ranks (a window's table shifted by its start rank), so a pair
-    is named by its opener's rank in t; as bracket matching is local, the
-    pair a child flattens at an opener is the parent's pair there, and mask
-    inclusion is F_child <= F_parent.  Self-pairs contribute v^0.
+    Same preconditions and errors as well_nested_collections; the count is
+    mask_norms on the ranks of the matching's genuine pairs.
     """
-    forest = _nesting_forest(_perfect_matching(t, openers, closers).pairs)
-    word = t.word
-    # below[pair]: (span, paths) of each child of pair read so far (key
-    # None: the roots), with span the bits of the child's window and paths
-    # (mask, norm -> count) counting every compatible choice inside the
-    # child's subtree
-    below: dict[Pair | None, list[tuple[int, list[tuple[int, dict[int, int]]]]]] = {}
-    for (u, w), parent in reversed(forest):
-        start, stop = t.rank(u), t.rank(w) - 1
-        kids = [(span, paths, {}) for span, paths in below.pop((u, w), ())]
-        out = []
-        for mask, norm in _path_table(word[start:stop]):
-            mask <<= start
-            counts = {norm: 1}
-            for span, paths, sums in kids:
-                # the child's compatible paths depend on mask only inside
-                # the child's window
-                key = mask & span
-                total = sums.get(key)
-                if total is None:
-                    total = sums[key] = _add(c for m, c in paths if not m & ~key)
-                counts = _times(counts, total)
-            out.append((mask, counts))
-        below.setdefault(parent, []).append((((1 << (stop - start)) - 1) << start, out))
-    counts = {0: 1}
-    for _, paths in below.pop(None, ()):
-        counts = _times(counts, _add(c for _, c in paths))
-    return Counter(counts)
+    pairs = _perfect_matching(t, openers, closers).pairs
+    return Counter(mask_norms(
+        t.word, {t.rank(u) for u, _ in pairs}, {t.rank(w) for _, w in pairs}
+    ))
 
 
 # Norm -> count maps are summed and multiplied as plain dicts: the DP makes
@@ -529,8 +488,26 @@ def is_valid_mask(word: tuple[bool, ...], lo: int, hi: int, mask: int) -> bool:
     )
 
 
+def _bracket_pairs(openers: set[int], closers: set[int]) -> list[list[int]]:
+    """The perfect bracket matching of the rank sets openers and closers as
+    [opener, closer, parent] in opener order, parent being the index of the
+    genuine pair directly enclosing it (-1 for none); a rank in both sets
+    pairs with itself.  Read backwards, children come first."""
+    out: list[list[int]] = []
+    stack: list[int] = []
+    for r in sorted(openers | closers):
+        if r not in closers:
+            out.append([r, 0, stack[-1] if stack else -1])
+            stack.append(len(out) - 1)
+        elif r in openers:
+            out.append([r, r, -1])
+        else:
+            out[stack.pop()][1] = r
+    return out
+
+
 def mask_collections(
-    word: tuple[bool, ...], openers: Iterable[int], closers: Iterable[int]
+    word: tuple[bool, ...], openers: set[int], closers: set[int]
 ) -> list[tuple[tuple[int, int, int], ...]]:
     """well_nested_collections on the ranks of word, in the same order: each
     collection is its (opener, closer, mask) entries sorted by opener, with
@@ -539,24 +516,61 @@ def mask_collections(
     The caller guarantees a perfect matching, with proper openers among
     word's minus ranks and proper closers among its plus ranks.
     """
-    m = match_pairs(openers, closers)
-    pairs = m.all_pairs()
+    pairs = _bracket_pairs(openers, closers)
     per_pair = [
         [(u, w, 0)] if u == w
         else [(u, w, mask << (u + 1)) for mask, _ in _path_table(word[u:w - 1])]
-        for u, w in pairs
+        for u, w, _ in pairs
     ]
-    if len(m.pairs) < 2:
+    edges = [(parent, k) for k, (_, _, parent) in enumerate(pairs) if parent >= 0]
+    if not edges:
         return list(product(*per_pair))
-    index = {pair: k for k, pair in enumerate(pairs)}
-    relations = [
-        (index[parent], index[child])
-        for child, parent in _nesting_forest(m.pairs) if parent is not None
-    ]
     return [
         combo for combo in product(*per_pair)
-        if all(not combo[j][2] & ~combo[i][2] for i, j in relations)
+        if all(not combo[j][2] & ~combo[i][2] for i, j in edges)
     ]
+
+
+def mask_norms(
+    word: tuple[bool, ...], openers: set[int], closers: set[int]
+) -> dict[int, int]:
+    """collection_norms on the ranks of word, with mask_collections'
+    preconditions.
+
+    A dynamic programme over the nesting forest, children first: each path
+    of a pair weighs v^norm times, for each child, the sum over the child's
+    paths that flatten nothing the parent's path leaves standing (mask
+    inclusion, as bracket matching is local).  Self-pairs weigh v^0.
+    """
+    pairs = _bracket_pairs(openers, closers)
+    # below[k]: (span, paths) of each child of pair k counted so far (key
+    # -1: the roots), with span the bits of the child's window and paths
+    # (mask, norm -> count) counting every compatible choice inside the
+    # child's subtree
+    below: dict[int, list[tuple[int, list[tuple[int, dict[int, int]]]]]] = {}
+    for k in range(len(pairs) - 1, -1, -1):
+        u, w, parent = pairs[k]
+        if u == w:
+            continue
+        kids = [(span, paths, {}) for span, paths in below.pop(k, ())]
+        out = []
+        for mask, norm in _path_table(word[u:w - 1]):
+            mask <<= u + 1
+            counts = {norm: 1}
+            for span, paths, sums in kids:
+                # the child's compatible paths depend on mask only inside
+                # the child's window
+                key = mask & span
+                total = sums.get(key)
+                if total is None:
+                    total = sums[key] = _add(c for m, c in paths if not m & ~key)
+                counts = _times(counts, total)
+            out.append((mask, counts))
+        below.setdefault(parent, []).append((((1 << (w - u - 1)) - 1) << (u + 1), out))
+    counts = {0: 1}
+    for _, paths in below.pop(-1, ()):
+        counts = _times(counts, _add(c for _, c in paths))
+    return counts
 
 
 # -- rendering ------------------------------------------------------------

@@ -13,6 +13,7 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -20,7 +21,6 @@ from .bijection import (
     ConstructionError,
     build_bijection,
     left_norms,
-    norm_multisets_match,
     right_norms,
 )
 from .closedform import (
@@ -100,6 +100,8 @@ class FormulaSweepConfig:
 
 # A deeper formula-vs-oracle tier; budgets start at n = 0, one per modulus.
 DEEP_FORMULA_BUDGETS = ((4, 16), (5, 16), (2, 24), (3, 22))
+# A deeper branching tier; budgets start at n = 0, one per modulus.
+DEEP_BRANCHING_BUDGETS = ((2, 22), (3, 20))
 # A deeper norm-multiset tier: every instance on up to this many positions.
 DEEP_BIJECTION_POSITIONS = 10
 # A deeper explicit-bijection tier: every instance on up to this many positions.
@@ -308,8 +310,11 @@ def run_bijection_sweep(cfg: BijectionSweepConfig, report_path: str | None = Non
     try:
         def check(t, a, b):
             report.checked += 1
-            data = _instance_data(t, a, b)
-            ok = data["normsL"] == data["normsR"]
+            left, right = left_norms(t, a, b), right_norms(t, a, b)
+            ok = left == right
+            if ok and stream is None:
+                return
+            data = _instance_data(t, a, b, left, right)
             if not ok:
                 report.fail(**data)
             if stream is not None:
@@ -352,9 +357,10 @@ def run_construction_sweep(cfg: ConstructionSweepConfig) -> SweepReport:
             built += 1
         except ConstructionError as exc:
             corners[exc.corner] = corners.get(exc.corner, 0) + 1
-            entry = dict(_instance_data(t, a, b), corner=exc.corner)
+            left, right = left_norms(t, a, b), right_norms(t, a, b)
+            entry = dict(_instance_data(t, a, b, left, right), corner=exc.corner)
             logged.append(entry)
-            if not norm_multisets_match(t, a, b):
+            if left != right:
                 report.fail(**dict(entry, multisets="mismatch"))
     report.notes["built"] = built
     report.notes["corners"] = corners
@@ -365,13 +371,13 @@ def run_construction_sweep(cfg: ConstructionSweepConfig) -> SweepReport:
     return report
 
 
-def _instance_data(t: SignSequence, a, b) -> dict:
+def _instance_data(t: SignSequence, a, b, left: Counter[int], right: Counter[int]) -> dict:
     return {
         "T": {"plus": sorted(t.plus), "minus": sorted(t.minus)},
         "A": sorted(a),
         "B": sorted(b),
-        "normsL": sorted(left_norms(t, a, b).elements()),
-        "normsR": sorted(right_norms(t, a, b).elements()),
+        "normsL": sorted(left.elements()),
+        "normsR": sorted(right.elements()),
     }
 
 

@@ -6,10 +6,10 @@ from itertools import combinations, product
 
 import pytest
 
-from fockpath.bijection import left_elements, left_norms, right_elements, right_norms
+from fockpath.bijection import _plan, left_elements, left_norms, right_elements, right_norms
 from fockpath.closedform import branching_coefficient, sign_sequence_of
 from fockpath.latticepath import collection_norms, latticed_paths, well_nested_collections
-from fockpath.signseq import SignSequence, match_pairs
+from fockpath.signseq import SignSequence, match_pairs, onto, unpaired_plus, valley_set
 from fockpath.sweeps import iter_exhaustive_instances, sample_instances
 
 
@@ -93,6 +93,41 @@ def test_index_set_norms_equal_the_element_counts():
         assert right_norms(t, a, b) == Counter(el.norm for el in right_elements(t, a, b))
         checked += 1
     assert checked == 9878 + 2000
+
+
+def definitional_plan(t, a, b):
+    """The columns of both index sets straight from their definitions, with
+    the shifts as sums over A and B and heights of the generic path."""
+    completions = [
+        (c, 2 * (sum(1 for y in b if y > c) - sum(1 for x in a if x > c)) + t.height(c) - t.size)
+        for c in sorted((t.plus | a) - b) if onto(a, b | {c})
+    ]
+    valleys = [
+        (d, [(dp, 2 * t.height(dp) - t.height(d) - t.size)
+             for dp in sorted({d} | {u for u in unpaired_plus(t) if u > d})])
+        for d in sorted(valley_set(t)) if onto(a, b | {d})
+    ]
+    return completions, valleys
+
+
+def test_the_plan_equals_the_definitional_columns():
+    checked = 0
+    for t, a, b in [*iter_exhaustive_instances(9), *sample_instances(2000, 14, 2011)]:
+        # every instance sits on 1..k, so its positions are its ranks
+        assert t.positions == tuple(range(1, len(t.positions) + 1))
+        assert _plan(t.word, a, b) == definitional_plan(t, a, b), (t, a, b)
+        checked += 1
+    assert checked == 35072 + 2000
+
+
+def test_index_set_norms_on_400_nested_pairs():
+    # A is 1..400 and 801, B is 401..800: one completion and one valley,
+    # both at 801 and self-paired, over 400 nested pairs whose windows
+    # (400 - i, 401 + i) hold i down-strokes and then i up-strokes
+    k = 400
+    t = SignSequence(frozenset(range(k + 1, 2 * k + 1)), frozenset(range(1, k + 1)) | {2 * k + 1})
+    a, b = t.minus, t.plus
+    assert left_norms(t, a, b) == right_norms(t, a, b) == Counter({k * k: 1})
 
 
 def error_of(call):
