@@ -51,7 +51,7 @@ from .latticepath import (
     well_nested_collections,
     window_pairs,
 )
-from .signseq import SignSequence, match_pairs, onto, unpaired_plus, valley_set
+from .signseq import SignSequence, bracket_pairs, onto, unpaired_plus, valley_set
 
 
 class ConstructionError(RuntimeError):
@@ -169,7 +169,7 @@ def left_norms(t: SignSequence, a, b) -> Counter[int]:
     word, (a, b) = t.word, _ranks(t, a, b)
     out: Counter[int] = Counter()
     for c, shift in _plan(word, a, b)[0]:
-        for norm, count in mask_norms(word, a, b | {c}).items():
+        for norm, count in mask_norms(word, bracket_pairs(a, b | {c})[0]).items():
             out[norm + shift] += count
     return out
 
@@ -181,7 +181,7 @@ def right_norms(t: SignSequence, a, b) -> Counter[int]:
     word, (a, b) = t.word, _ranks(t, a, b)
     out: Counter[int] = Counter()
     for d, markers in _plan(word, a, b)[1]:
-        counts = mask_norms(_shift_up(word, d), a, b | {d})
+        counts = mask_norms(_shift_up(word, d), bracket_pairs(a, b | {d})[0])
         for _, shift in markers:
             for norm, count in counts.items():
                 out[norm + shift] += count
@@ -318,13 +318,13 @@ def _index_sets(word: tuple[bool, ...], a: frozenset[int], b: frozenset[int]) ->
     lefts = tuple(
         (c, entries, shift + _norm(entries))
         for c, shift in completions
-        for entries in mask_collections(word, a, b | {c})
+        for entries in mask_collections(word, bracket_pairs(a, b | {c})[0])
     )
     rights = []
     for d, markers in valleys:
         colls = [
             (entries, _norm(entries))
-            for entries in mask_collections(_shift_up(word, d), a, b | {d})
+            for entries in mask_collections(_shift_up(word, d), bracket_pairs(a, b | {d})[0])
         ]
         rights.extend(
             (d, dp, entries, shift + norm) for dp, shift in markers for entries, norm in colls
@@ -479,7 +479,8 @@ def _checked(base, entries, openers, closers, corner, t, a, b, nested_corner=Non
     """The entries, sorted, once they are known to still pair openers with
     closers and to stay well-nested in the word base."""
     entries = tuple(sorted(entries))
-    if match_pairs(openers, closers).all_pairs() != tuple((x, y) for x, y, _ in entries):
+    scanned = [(u, w) for u, w, _ in bracket_pairs(openers, closers)[0]]
+    if scanned != [(x, y) for x, y, _ in entries]:
         raise ConstructionError(corner, "the windows no longer match openers to closers", t, a, b)
     if not masks_well_nested(base, entries):
         raise ConstructionError(nested_corner or corner, "the collection is not well-nested", t, a, b)

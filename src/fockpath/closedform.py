@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 from .laurent import LaurentPolynomial, ZERO, quantum_integer
 from .latticepath import WellNestedCollection, well_nested_collections
 from .partitions import Partition, boundary_nodes, cells, check_e, check_partition, residue
-from .signseq import SignSequence, bijective, onto, unpaired_plus, valley_set
+from .signseq import PairingError, SignSequence, bijective, onto, unpaired_plus, valley_set
 from . import bijection as _bijection
 
 
@@ -145,9 +145,10 @@ def detect_move(lam: Partition, nu: Partition, e: int) -> MoveSpec | None:
 def decomposition_paths(move: MoveSpec) -> tuple[WellNestedCollection, ...]:
     """The well-nested collections indexing the move's polynomial; empty
     when the added columns do not match perfectly onto the removed ones."""
-    if not bijective(move.added, move.removed):
+    try:
+        return well_nested_collections(move.sign_sequence, move.added, move.removed)
+    except PairingError:  # MoveSpec checked the columns: the matching is imperfect
         return ()
-    return well_nested_collections(move.sign_sequence, move.added, move.removed)
 
 
 def decomposition_polynomial(move: MoveSpec) -> LaurentPolynomial:

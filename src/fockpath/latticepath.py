@@ -15,17 +15,17 @@ A window is a rank slice of its sequence: ``SignSequence.restrict`` hands
 it its positions and sign word as slices.  Its paths depend only on that
 word, so they are tabulated once per word as (bitmask of flattened opener
 ranks, norm) entries.  ``latticed_paths`` reads the window's pairs off the
-word (``window_pairs``) and builds one path per table entry, norm included;
-``well_nested_collections`` finds each pair's parent in one stack walk and
-filters the product of the pairs' path sets on the parent/child edges.
+word (``window_pairs``) and builds one path per table entry, norm included.
 
-The explicit bijection and the norm counts work on masks over the word's
-ranks, off one bracket scan that gives each pair with its parent:
-``mask_collections`` enumerates collections as (opener rank, closer rank,
-mask) entries, ``mask_norms`` counts them by norm with a dynamic programme
-over the nesting forest, building nothing, and ``collection_norms`` is
-``mask_norms`` behind the public argument check.  ``masks_well_nested`` and
-``is_valid_mask`` check entries.
+A collection's pairs, each with its parent, come from one
+``signseq.bracket_pairs`` scan: ``well_nested_collections`` filters the
+product of the pairs' path sets on the parent/child edges.  The explicit
+bijection and the norm counts take the scan in ranks and work on masks over
+the word's ranks: ``mask_collections`` enumerates collections as (opener
+rank, closer rank, mask) entries, ``mask_norms`` counts them by norm with a
+dynamic programme over the nesting forest, building nothing, and
+``collection_norms`` is ``mask_norms`` behind the public argument check.
+``masks_well_nested`` and ``is_valid_mask`` check entries.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, product
 from typing import Iterable, Iterator
 
-from .signseq import Matching, PairingError, SignSequence, match_pairs
+from .signseq import PairingError, SignSequence, bracket_pairs
 
 Pair = tuple[int, int]
 
@@ -347,26 +347,16 @@ def well_nested_collections(
     the outer one.  Each inner pair covers its own opener's rank, so that
     holds at every x exactly when F_inner <= F_outer.
     """
-    per_pair = []
+    pairs = _perfect_matching(t, openers, closers)
+    per_pair = [
+        [(u, w, _EMPTY)] if u == w else [(u, w, p) for p in latticed_paths(t.between(u, w))]
+        for u, w, _ in pairs
+    ]
     # (child, parent) indices into per_pair for each parent/child edge of
     # the nesting forest.  Only those edges: inclusion of flattened sets is
     # transitive, so F_child <= F_parent on every edge gives F_inner <=
     # F_outer for every nested pair (the outer one is an ancestor).
-    edges = []
-    # the genuine pairs enclosing the current opener, as (index, closer);
-    # pairs come sorted by opener and never cross, so one whose closer lies
-    # left of the opener encloses nothing from here on
-    stack: list[tuple[int, int]] = []
-    for k, (u, w) in enumerate(_perfect_matching(t, openers, closers).all_pairs()):
-        if u == w:
-            per_pair.append([(u, w, _EMPTY)])
-            continue
-        while stack and stack[-1][1] < u:
-            stack.pop()
-        if stack:
-            edges.append((k, stack[-1][0]))
-        stack.append((k, w))
-        per_pair.append([(u, w, p) for p in latticed_paths(t.between(u, w))])
+    edges = [(k, parent) for k, (_, _, parent) in enumerate(pairs) if parent >= 0]
     # each combo is in opener order already, as the entries must be
     return tuple(
         WellNestedCollection(t, combo)
@@ -377,11 +367,11 @@ def well_nested_collections(
 
 def _perfect_matching(
     t: SignSequence, openers: Iterable[int], closers: Iterable[int]
-) -> Matching:
-    """The matching of openers to closers, once it is known to be perfect
-    (self-pairing of common elements allowed) with proper openers among t's
-    minus positions and proper closers among its plus positions;
-    PairingError otherwise."""
+) -> list[list[int]]:
+    """The bracket_pairs scan of openers to closers, its pairs with their
+    parents, once the matching is known to be perfect (self-pairing of
+    common elements allowed) with proper openers among t's minus positions
+    and proper closers among its plus positions; PairingError otherwise."""
     a = frozenset(openers)
     b = frozenset(closers)
     if not ((a - b) <= t.minus and (b - a) <= t.plus):
@@ -393,13 +383,13 @@ def _perfect_matching(
         if bad_closers:
             problems.append(f"closers {bad_closers} are not plus positions")
         raise PairingError(" and ".join(problems))
-    m = match_pairs(a, b)
-    if m.unpaired_openers or m.unpaired_closers:
+    pairs, lone_openers, lone_closers = bracket_pairs(a, b)
+    if lone_openers or lone_closers:
         raise PairingError(
             f"matching of {sorted(a)} to {sorted(b)} is not perfect: "
-            f"unpaired {sorted(m.unpaired_openers | m.unpaired_closers)}"
+            f"unpaired {sorted(lone_openers + lone_closers)}"
         )
-    return m
+    return pairs
 
 
 def collection_norms(
@@ -409,12 +399,14 @@ def collection_norms(
     to closers, counted without building one.
 
     Same preconditions and errors as well_nested_collections; the count is
-    mask_norms on the ranks of the matching's genuine pairs.
+    mask_norms on the scanned pairs in ranks (a self-pair, which mask_norms
+    skips, need not be a position of t).
     """
-    pairs = _perfect_matching(t, openers, closers).pairs
-    return Counter(mask_norms(
-        t.word, {t.rank(u) for u, _ in pairs}, {t.rank(w) for _, w in pairs}
-    ))
+    rank = t.rank
+    return Counter(mask_norms(t.word, [
+        [u, w, parent] if u == w else [rank(u), rank(w), parent]
+        for u, w, parent in _perfect_matching(t, openers, closers)
+    ]))
 
 
 # Norm -> count maps are summed and multiplied as plain dicts: the DP makes
@@ -488,35 +480,17 @@ def is_valid_mask(word: tuple[bool, ...], lo: int, hi: int, mask: int) -> bool:
     )
 
 
-def _bracket_pairs(openers: set[int], closers: set[int]) -> list[list[int]]:
-    """The perfect bracket matching of the rank sets openers and closers as
-    [opener, closer, parent] in opener order, parent being the index of the
-    genuine pair directly enclosing it (-1 for none); a rank in both sets
-    pairs with itself.  Read backwards, children come first."""
-    out: list[list[int]] = []
-    stack: list[int] = []
-    for r in sorted(openers | closers):
-        if r not in closers:
-            out.append([r, 0, stack[-1] if stack else -1])
-            stack.append(len(out) - 1)
-        elif r in openers:
-            out.append([r, r, -1])
-        else:
-            out[stack.pop()][1] = r
-    return out
-
-
 def mask_collections(
-    word: tuple[bool, ...], openers: set[int], closers: set[int]
+    word: tuple[bool, ...], pairs: list[list[int]]
 ) -> list[tuple[tuple[int, int, int], ...]]:
     """well_nested_collections on the ranks of word, in the same order: each
     collection is its (opener, closer, mask) entries sorted by opener, with
     mask 0 on a self-paired rank.
 
-    The caller guarantees a perfect matching, with proper openers among
-    word's minus ranks and proper closers among its plus ranks.
+    pairs is the bracket_pairs scan of a perfect matching in ranks, with
+    proper openers among word's minus ranks and proper closers among its
+    plus ranks.
     """
-    pairs = _bracket_pairs(openers, closers)
     per_pair = [
         [(u, w, 0)] if u == w
         else [(u, w, mask << (u + 1)) for mask, _ in _path_table(word[u:w - 1])]
@@ -531,18 +505,15 @@ def mask_collections(
     ]
 
 
-def mask_norms(
-    word: tuple[bool, ...], openers: set[int], closers: set[int]
-) -> dict[int, int]:
-    """collection_norms on the ranks of word, with mask_collections'
-    preconditions.
+def mask_norms(word: tuple[bool, ...], pairs: list[list[int]]) -> dict[int, int]:
+    """collection_norms on the ranks of word, for the scanned pairs of
+    mask_collections.
 
     A dynamic programme over the nesting forest, children first: each path
     of a pair weighs v^norm times, for each child, the sum over the child's
     paths that flatten nothing the parent's path leaves standing (mask
     inclusion, as bracket matching is local).  Self-pairs weigh v^0.
     """
-    pairs = _bracket_pairs(openers, closers)
     # below[k]: (span, paths) of each child of pair k counted so far (key
     # -1: the roots), with span the bits of the child's window and paths
     # (mask, norm -> count) counting every compatible choice inside the

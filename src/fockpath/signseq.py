@@ -4,14 +4,18 @@ A sign sequence is an ordered pair (plus, minus) of disjoint finite sets of
 integer positions.  Reading positions in increasing order and drawing plus
 as an up-stroke and minus as a down-stroke gives the associated path; the
 pairing machinery below is classical bracket matching on that path.
+
+Every matching of an opener set against a closer set is one unmemoised
+scan, ``bracket_pairs``, which ``match_pairs`` and the collection code
+read; ``onto`` and ``bijective`` count path levels instead.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable
+from functools import cached_property
+from typing import AbstractSet, Iterable
 
 
 class PairingError(ValueError):
@@ -47,40 +51,54 @@ class Matching:
         return tuple(sorted(self.pairs + tuple((x, x) for x in self.self_paired)))
 
 
+def bracket_pairs(
+    openers: AbstractSet[int], closers: AbstractSet[int]
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """Bracket matching of the sets openers ('(') and closers (')') in one
+    scan: each closer takes the nearest unmatched opener on its left, and an
+    element of both sets pairs with itself, outside the scan.
+
+    Returns every pair as [opener, closer, parent] in opener order, parent
+    being the index of the genuine pair directly enclosing it (-1 for none
+    and for a self-pair), then the unmatched openers and closers, ascending.
+    Read backwards, the pairs list children first.
+    """
+    out: list[list[int]] = []
+    stack: list[int] = []  # indices into out of the openers still open
+    lone: list[int] = []
+    for r in sorted(openers | closers):
+        if r not in closers:
+            out.append([r, 0, stack[-1] if stack else -1])
+            stack.append(len(out) - 1)
+        elif r in openers:
+            out.append([r, r, -1])
+        elif stack:
+            out[stack.pop()][1] = r
+        else:
+            lone.append(r)
+    if stack:
+        # no closer met an opener left open, nor any opener below it, so a
+        # scan without them pairs alike and numbers the parents right
+        left_open = [out[k][0] for k in stack]
+        return bracket_pairs(openers - set(left_open), closers)[0], left_open, lone
+    return out, [], lone
+
+
 def match_pairs(openers: Iterable[int], closers: Iterable[int]) -> Matching:
-    """Bracket matching with openers as '(' and closers as ')'.
+    """Bracket matching with openers as '(' and closers as ')': the
+    bracket_pairs scan as a Matching.
 
     Each closer is paired with the nearest unmatched opener on its left;
     common elements of the two sets are self-paired and excluded from the
     sweep.
     """
-    return _match_pairs(frozenset(openers), frozenset(closers))
-
-
-# Matchings memoised per (openers, closers).  The bijection's runtime checks
-# match the same few set pairs again and again across a sweep; a Matching is
-# frozen, so every caller may share one.
-_MATCHING_CACHE = 256
-
-
-@lru_cache(maxsize=_MATCHING_CACHE)
-def _match_pairs(a: frozenset[int], b: frozenset[int]) -> Matching:
-    common = a & b
-    stack: list[int] = []
-    pairs: list[tuple[int, int]] = []
-    unpaired_closers: list[int] = []
-    for p in sorted((a | b) - common):
-        if p in a:
-            stack.append(p)
-        elif stack:
-            pairs.append((stack.pop(), p))
-        else:
-            unpaired_closers.append(p)
+    a, b = frozenset(openers), frozenset(closers)
+    pairs, lone_openers, lone_closers = bracket_pairs(a, b)
     return Matching(
-        pairs=tuple(sorted(pairs)),
-        unpaired_openers=frozenset(stack),
-        unpaired_closers=frozenset(unpaired_closers),
-        self_paired=common,
+        pairs=tuple((u, w) for u, w, _ in pairs if u != w),
+        unpaired_openers=frozenset(lone_openers),
+        unpaired_closers=frozenset(lone_closers),
+        self_paired=a & b,
     )
 
 

@@ -44,7 +44,7 @@ from .fockspace import (
 )
 from .latticepath import WellNestedCollection
 from .laurent import ZERO, LaurentPolynomial
-from .partitions import boundary_nodes, partitions_of
+from .partitions import boundary_nodes, check_e, partitions_of
 from .signseq import SignSequence, onto
 
 
@@ -394,6 +394,9 @@ class ConsistencySweepConfig:
 def run_consistency_sweep(cfg: ConsistencySweepConfig) -> SweepReport:
     """Left and right evaluations of the induction coefficient must agree for
     every partition within budget, e-singular ones included."""
+    # a modulus below 2 would sweep no residue at all, and pass
+    for e in cfg.e_values:
+        check_e(e)
     report = SweepReport(kind="consistency")
     for e in cfg.e_values:
         for n in range(cfg.max_n + 1):

@@ -157,6 +157,18 @@ def test_checked_rejects_masks_that_are_not_well_nested():
     assert info.value.corner == "strip"
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [[(1, 6, 0)], [(1, 6, 0), (2, 5, 0), (3, 3, 0)]],
+    ids=["a-scanned-pair-missing", "an-extra-self-pair"],
+)
+def test_checked_rejects_entries_whose_pairs_differ_from_the_scan(entries):
+    # the scan of {1, 2} against {5, 6} pairs 1 with 6 and 2 with 5
+    with pytest.raises(ConstructionError) as info:
+        _checked(NESTED_T.word, entries, {1, 2}, {5, 6}, "split-pairing", NESTED_T, {1, 2}, {5})
+    assert info.value.corner == "split-pairing"
+
+
 def test_reaim_rejects_a_flattened_mask_past_the_new_closer():
     entries = [(1, 6, 0), (2, 5, 1 << 3)]
     with pytest.raises(ConstructionError) as info:

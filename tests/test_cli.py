@@ -251,8 +251,10 @@ def test_determinism_of_verify(capsys):
         ("decomp", "--e", "0", "--col", "2", "--row", "1,1"),
         ("decomp", "--e", "1", "--col", "2", "--row", "1,1"),
         ("moves", "--e", "0", "--lam", "3,1"),
+        ("verify", "consistency", "--e", "0", "--max-n", "4"),
+        ("verify", "consistency", "--e", "2", "--e", "-3", "--max-n", "4"),
     ],
-    ids=["decomp-e0", "decomp-e1", "moves-e0"],
+    ids=["decomp-e0", "decomp-e1", "moves-e0", "consistency-e0", "consistency-e-3"],
 )
 def test_modulus_below_two_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)

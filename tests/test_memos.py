@@ -41,7 +41,7 @@ def shapes(max_n, moduli):
 def test_every_memo_is_bounded():
     found = {memo.__wrapped__.__qualname__ for memo in memos()}
     assert {
-        "latticed_paths", "_match_pairs", "_sign_sequence_of", "_indent_additions",
+        "latticed_paths", "_sign_sequence_of", "_indent_additions",
     } <= found
     for memo in memos():
         assert isinstance(memo.cache_info().maxsize, int), memo.__wrapped__.__qualname__
@@ -50,8 +50,6 @@ def test_every_memo_is_bounded():
 def test_window_memos_equal_the_uncached_functions():
     for t in windows(10):
         assert latticepath.latticed_paths(t) == latticepath.latticed_paths.__wrapped__(t)
-        for a, b in [(t.plus, t.minus), (t.minus, t.plus), (t.plus, t.plus | t.minus)]:
-            assert signseq._match_pairs(a, b) == signseq._match_pairs.__wrapped__(a, b)
 
 
 def test_shape_memos_equal_the_uncached_functions():
@@ -95,6 +93,6 @@ def test_construction_report_is_the_same_on_warm_memos(capsys):
     cold = construction()
     assert main(["verify", "formula", "--e", "2", "--e", "3", "--max-n", "7"]) == 0
     capsys.readouterr()
-    warmed = (latticepath.latticed_paths, signseq._match_pairs, closedform._sign_sequence_of)
+    warmed = (latticepath.latticed_paths, closedform._sign_sequence_of)
     assert all(memo.cache_info().currsize for memo in warmed)
     assert construction() == cold

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from fockpath.signseq import (
     SignSequence,
     bijective,
+    bracket_pairs,
     match_pairs,
     onto,
     preceq,
@@ -241,6 +242,43 @@ def test_rank_and_prefix_heights_follow_the_positions():
     assert t.prefix_heights == (0, -1, 0, 1, 0, 1, 0, -1, -2, -1)
     with pytest.raises(KeyError):
         t.rank(10)
+
+
+def _definitional_matching(a, b):
+    """Each closer, left to right, takes the nearest unmatched opener on its
+    left; an element of both sets pairs with itself.  Pairs sorted by opener,
+    then the unmatched openers and closers, ascending."""
+    common = a & b
+    free = sorted(a - common)
+    pairs = [(x, x) for x in common]
+    lone = []
+    for w in sorted(b - common):
+        left = [u for u in free if u < w]
+        if left:
+            free.remove(left[-1])
+            pairs.append((left[-1], w))
+        else:
+            lone.append(w)
+    return sorted(pairs), free, lone
+
+
+def test_bracket_pairs_and_match_pairs_are_the_definitional_matching():
+    subsets = [frozenset(x for x in range(1, 8) if mask >> (x - 1) & 1) for mask in range(128)]
+    for a in subsets:
+        for b in subsets:
+            want, free, lone = _definitional_matching(a, b)
+            genuine = [(u, w) for u, w in want if u != w]
+            pairs, lone_openers, lone_closers = bracket_pairs(a, b)
+            assert [(u, w) for u, w, _ in pairs] == want
+            assert (lone_openers, lone_closers) == (free, lone)
+            for u, w, parent in pairs:
+                # the innermost enclosing genuine pair has the largest opener
+                enclosing = [p for p in genuine if p[0] < u and w < p[1]]
+                assert parent == (want.index(max(enclosing)) if enclosing and u != w else -1)
+            m = match_pairs(a, b)
+            assert m.pairs == tuple(genuine)
+            assert m.self_paired == a & b
+            assert (m.unpaired_openers, m.unpaired_closers) == (set(free), set(lone))
 
 
 @given(position_sets, position_sets)
