@@ -12,8 +12,8 @@ positions, |A| = |B| + 1 and A onto B:
   the matching of A to B + d in T with d flipped to plus.
 
 Both index sets take their columns from one plan per instance, a single
-pass over the sign word and the ranks of A and B (``_plan``); left_norms
-and right_norms count each column's collections on ranks (mask_norms).
+pass over the sign word and the ranks of A and B (``_plan``);
+index_set_norms counts both on one plan, on ranks (mask_norms).
 
 The two norm multisets always agree; build_bijection produces an explicit
 norm-preserving bijection by recursion (strip a pair with empty plus
@@ -162,36 +162,41 @@ def right_elements(t: SignSequence, a, b) -> tuple[RightElement, ...]:
     return tuple(out)
 
 
-def left_norms(t: SignSequence, a, b) -> Counter[int]:
-    """Norm -> number of left elements, counted without building them."""
+def index_set_norms(t: SignSequence, a, b) -> tuple[Counter[int], Counter[int]]:
+    """Norm -> number of left elements and of right elements, counted on one
+    check, one rank map and one plan without building the elements."""
     a, b = frozenset(a), frozenset(b)
     _check_instance(t, a, b)
     word, (a, b) = t.word, _ranks(t, a, b)
-    out: Counter[int] = Counter()
-    for c, shift in _plan(word, a, b)[0]:
+    completions, valleys = _plan(word, a, b)
+    left: Counter[int] = Counter()
+    for c, shift in completions:
         for norm, count in mask_norms(word, bracket_pairs(a, b | {c})[0]).items():
-            out[norm + shift] += count
-    return out
+            left[norm + shift] += count
+    right: Counter[int] = Counter()
+    for d, markers in valleys:
+        counts = mask_norms(_shift_up(word, d), bracket_pairs(a, b | {d})[0])
+        for _, shift in markers:
+            for norm, count in counts.items():
+                right[norm + shift] += count
+    return left, right
+
+
+def left_norms(t: SignSequence, a, b) -> Counter[int]:
+    """Norm -> number of left elements, counted without building them."""
+    return index_set_norms(t, a, b)[0]
 
 
 def right_norms(t: SignSequence, a, b) -> Counter[int]:
     """Norm -> number of right elements, counted without building them."""
-    a, b = frozenset(a), frozenset(b)
-    _check_instance(t, a, b)
-    word, (a, b) = t.word, _ranks(t, a, b)
-    out: Counter[int] = Counter()
-    for d, markers in _plan(word, a, b)[1]:
-        counts = mask_norms(_shift_up(word, d), bracket_pairs(a, b | {d})[0])
-        for _, shift in markers:
-            for norm, count in counts.items():
-                out[norm + shift] += count
-    return out
+    return index_set_norms(t, a, b)[1]
 
 
 def norm_multisets_match(t: SignSequence, a, b) -> bool:
     """Whether the left and right norm multisets coincide (the computational
     content of the identity; always true in every tested regime)."""
-    return left_norms(t, a, b) == right_norms(t, a, b)
+    left, right = index_set_norms(t, a, b)
+    return left == right
 
 
 # -- the explicit bijection ------------------------------------------------

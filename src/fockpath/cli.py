@@ -45,11 +45,19 @@ class CliError(ValueError):
     """A usage error found by a command; main reports it like a bad input."""
 
 
-def _parse_positions(text: str) -> frozenset[int]:
-    text = text.strip()
+def _parse_positions(args, name: str) -> frozenset[int]:
+    """The comma-separated positions given to --name; none when absent."""
+    text = (getattr(args, name) or "").strip()
     if not text:
         return frozenset()
-    return frozenset(int(x) for x in text.split(","))
+    return frozenset(_integer(x, f"--{name}") for x in text.split(","))
+
+
+def _integer(token: str, flag: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise CliError(f"{flag}: {token.strip()!r} is not an integer") from None
 
 
 def _cache_dir(args) -> str | None:
@@ -59,7 +67,7 @@ def _cache_dir(args) -> str | None:
 
 
 def _sign_sequence(args) -> SignSequence:
-    return SignSequence(_parse_positions(args.plus), _parse_positions(args.minus))
+    return SignSequence(_parse_positions(args, "plus"), _parse_positions(args, "minus"))
 
 
 def _move_record(move: MoveSpec):
@@ -99,7 +107,7 @@ def cmd_decomp(args) -> int:
         if args.r is None:
             raise CliError("need either --row or --r/--add/--remove")
         move = MoveSpec(
-            col, args.e, args.r, _parse_positions(args.add or ""), _parse_positions(args.remove or "")
+            col, args.e, args.r, _parse_positions(args, "add"), _parse_positions(args, "remove")
         )
     record, poly, collections = _move_record(move)
     if args.json:
@@ -150,9 +158,7 @@ def cmd_moves(args) -> int:
 def cmd_paths(args) -> int:
     t = _sign_sequence(args)
     if args.add or args.remove:
-        colls = well_nested_collections(
-            t, _parse_positions(args.add or ""), _parse_positions(args.remove or "")
-        )
+        colls = well_nested_collections(t, _parse_positions(args, "add"), _parse_positions(args, "remove"))
         records = [
             {
                 "norm": c.norm,
@@ -306,8 +312,10 @@ def cmd_render(args) -> int:
     flattened = set()
     if args.flatten:
         for chunk in args.flatten.split(","):
-            u, _, w = chunk.partition(":")
-            flattened.add((int(u), int(w)))
+            u, colon, w = chunk.partition(":")
+            if not colon:
+                raise CliError(f"--flatten: {chunk.strip()!r} is not an opener:closer pair")
+            flattened.add((_integer(u, "--flatten"), _integer(w, "--flatten")))
     path = LatticedPath(t, frozenset(flattened))
     pairs = set(t.matching().pairs)
     if not flattened <= pairs:

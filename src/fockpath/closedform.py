@@ -204,9 +204,8 @@ def consistency_sums(
     t = sign_sequence_of(lam, e, r)
     a = frozenset(added)
     b = frozenset(removed)
-    left = LaurentPolynomial(_bijection.left_norms(t, a, b))
-    right = LaurentPolynomial(_bijection.right_norms(t, a, b))
-    return left, right
+    left, right = _bijection.index_set_norms(t, a, b)
+    return LaurentPolynomial(left), LaurentPolynomial(right)
 
 
 def delete_first_row(lam: Partition) -> Partition:

@@ -17,12 +17,15 @@ word, so they are tabulated once per word as (bitmask of flattened opener
 ranks, norm) entries.  ``latticed_paths`` reads the window's pairs off the
 word (``window_pairs``) and builds one path per table entry, norm included.
 
-A collection's pairs, each with its parent, come from one
-``signseq.bracket_pairs`` scan: ``well_nested_collections`` filters the
-product of the pairs' path sets on the parent/child edges.  The explicit
-bijection and the norm counts take the scan in ranks and work on masks over
-the word's ranks: ``mask_collections`` enumerates collections as (opener
-rank, closer rank, mask) entries, ``mask_norms`` counts them by norm with a
+One enumerator, ``_nested_choices``, serves the path tables and both
+collection enumerators.  It takes one option list per pair of a
+``signseq.bracket_pairs`` scan, parents first, and extends each prefix by
+the options that sit inside the parent's chosen one.  A path table chooses
+flattened or standing per pair (a pair stands only where its parent
+stands); a collection chooses one path per pair (a child flattens only what
+its parent flattens): ``well_nested_collections`` as LatticedPath objects,
+``mask_collections``, for the explicit bijection, as (opener rank, closer
+rank, mask) entries.  ``mask_norms`` counts collections by norm with a
 dynamic programme over the nesting forest, building nothing, and
 ``collection_norms`` is ``mask_norms`` behind the public argument check.
 ``masks_well_nested`` and ``is_valid_mask`` check entries.
@@ -33,7 +36,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .signseq import PairingError, SignSequence, bracket_pairs
@@ -107,53 +110,39 @@ def _path_table(word: tuple[bool, ...]) -> tuple[tuple[int, int], ...]:
     the number of surviving strokes.  The order is that of latticed_paths:
     norm descending, then the flattened openers' sorted indices.
 
-    A down-closed set is a union of full subtrees of the nesting forest,
-    chosen by an antichain of subtree roots.  A pair is complete when its
-    closer is read, after every pair nested in it, so one left-to-right
-    scan visits the forest children first, with no recursion.
+    A flattening is down-closed when each pair is left standing only where
+    its parent stands, so the masks are the nested choices of bit or 0 per
+    pair, summed as ints: a chain of nested pairs costs quadratic time.
     """
-    # frames[-1]: the option lists of the completed pairs directly inside
-    # the innermost open up-stroke (frames[0]: outside every open one)
-    frames: list[list[list[int]]] = [[]]
-    openers: list[int] = []
-    for i, up in enumerate(word):
-        if up:
-            openers.append(i)
-            frames.append([])
-        elif openers:
-            kids = frames.pop()
-            subtree = 1 << openers.pop()
-            for options in kids:
-                subtree |= options[-1]
-            frames[-1].append(_unions(kids) + [subtree])
-    # an up-stroke left open encloses no pair, so whatever completed after
-    # it sits at the top of the forest
-    masks = _unions([options for frame in frames for options in frame])
-    steps = len(word) + 1
-    masks.sort(key=lambda mask: (mask.bit_count(), _bits(mask)))
-    return tuple((mask, steps - 2 * mask.bit_count()) for mask in masks)
+    ups = {i for i, up in enumerate(word) if up}
+    pairs = bracket_pairs(ups, {i for i, up in enumerate(word) if not up})[0]
+    bits = [1 << u for u, _, _ in pairs]
+    masks = _nested_choices(pairs, [(bit, 0) for bit in bits],
+                            lambda bit, mask, k: bit or not mask & bits[k], 0)
+    # norm descending, then the flattened openers' sorted indices: of two
+    # masks, the one holding the lowest bit they differ in comes first, so
+    # its bits read from the lowest are the larger string
+    masks.sort(key=lambda mask: (-mask.bit_count(), bin(mask)[::-1]), reverse=True)
+    return tuple((mask, len(word) + 1 - 2 * mask.bit_count()) for mask in masks)
 
 
-def _unions(option_lists: list[list[int]]) -> list[int]:
-    """Every union of one member of each list; [0] for none."""
-    if not option_lists:
-        return [0]
-    # the first list is its own product with the empty choice: no copies,
-    # so a chain of nested pairs costs quadratic, not cubic, time
-    combos = option_lists[0]
-    for opts in option_lists[1:]:
-        combos = [s | t for s in combos for t in opts]
-    return combos
+def _nested_choices(pairs: list[list[int]], options: list, inside, empty=()) -> list:
+    """Every choice of one option per pair of a bracket_pairs scan in which
+    each genuine child's option sits inside its parent's, in product order.
 
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    A choice is the sum of its options (1-tuples make tuples, distinct bits
+    make masks).  The scan lists parents before their children, so a prefix
+    holds the parent's option when a child is reached; the prefix is
+    extended by the child's options that pass inside(option, prefix,
+    parent), and a prefix no option passes is cut at once.
+    """
+    choices = [empty]
+    for (_, _, parent), opts in zip(pairs, options):
+        if parent < 0:
+            choices = [c + o for c in choices for o in opts]
+        else:
+            choices = [c + o for c in choices for o in opts if inside(o, c, parent)]
+    return choices
 
 
 # Path sets memoised per window.  Neighbouring moves and bijection instances
@@ -334,9 +323,9 @@ def well_nested_collections(
 
     Requires a perfect matching (self-pairing of common elements allowed),
     with proper openers among t's minus positions and proper closers among
-    t's plus positions.  Exhaustive product of the per-window path sets in
-    pair order, filtered by the nesting condition on the parent/child edges
-    of the nesting forest; the all-generic collection is always a member.
+    t's plus positions.  The collections are the nested choices of one
+    window path per pair, in product order of the per-window path sets; the
+    all-generic collection is always a member.
 
     The nesting condition is tested as F_inner <= F_outer on flattened sets
     (``is_well_nested`` keeps the height test).  Why they agree: bracket
@@ -348,21 +337,15 @@ def well_nested_collections(
     holds at every x exactly when F_inner <= F_outer.
     """
     pairs = _perfect_matching(t, openers, closers)
-    per_pair = [
-        [(u, w, _EMPTY)] if u == w else [(u, w, p) for p in latticed_paths(t.between(u, w))]
+    options = [
+        [((u, w, _EMPTY),)] if u == w
+        else [((u, w, p),) for p in latticed_paths(t.between(u, w))]
         for u, w, _ in pairs
     ]
-    # (child, parent) indices into per_pair for each parent/child edge of
-    # the nesting forest.  Only those edges: inclusion of flattened sets is
-    # transitive, so F_child <= F_parent on every edge gives F_inner <=
-    # F_outer for every nested pair (the outer one is an ancestor).
-    edges = [(k, parent) for k, (_, _, parent) in enumerate(pairs) if parent >= 0]
-    # each combo is in opener order already, as the entries must be
-    return tuple(
-        WellNestedCollection(t, combo)
-        for combo in product(*per_pair)
-        if all(combo[j][2].flattened <= combo[i][2].flattened for j, i in edges)
-    )
+    # inclusion of flattened sets is transitive, so testing each child
+    # against its parent gives F_inner <= F_outer for every nested pair
+    choices = _nested_choices(pairs, options, lambda o, c, k: o[0][2].flattened <= c[k][2].flattened)
+    return tuple(WellNestedCollection(t, entries) for entries in choices)
 
 
 def _perfect_matching(
@@ -491,18 +474,11 @@ def mask_collections(
     proper openers among word's minus ranks and proper closers among its
     plus ranks.
     """
-    per_pair = [
-        [(u, w, 0)] if u == w
-        else [(u, w, mask << (u + 1)) for mask, _ in _path_table(word[u:w - 1])]
+    return _nested_choices(pairs, [
+        [((u, w, 0),)] if u == w
+        else [((u, w, mask << (u + 1)),) for mask, _ in _path_table(word[u:w - 1])]
         for u, w, _ in pairs
-    ]
-    edges = [(parent, k) for k, (_, _, parent) in enumerate(pairs) if parent >= 0]
-    if not edges:
-        return list(product(*per_pair))
-    return [
-        combo for combo in product(*per_pair)
-        if all(not combo[j][2] & ~combo[i][2] for i, j in edges)
-    ]
+    ], lambda o, c, k: not o[0][2] & ~c[k][2])
 
 
 def mask_norms(word: tuple[bool, ...], pairs: list[list[int]]) -> dict[int, int]:

@@ -17,12 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .bijection import (
-    ConstructionError,
-    build_bijection,
-    left_norms,
-    right_norms,
-)
+from .bijection import ConstructionError, build_bijection, index_set_norms
 from .closedform import (
     MoveSpec,
     apply_move,
@@ -310,7 +305,7 @@ def run_bijection_sweep(cfg: BijectionSweepConfig, report_path: str | None = Non
     try:
         def check(t, a, b):
             report.checked += 1
-            left, right = left_norms(t, a, b), right_norms(t, a, b)
+            left, right = index_set_norms(t, a, b)
             ok = left == right
             if ok and stream is None:
                 return
@@ -357,7 +352,7 @@ def run_construction_sweep(cfg: ConstructionSweepConfig) -> SweepReport:
             built += 1
         except ConstructionError as exc:
             corners[exc.corner] = corners.get(exc.corner, 0) + 1
-            left, right = left_norms(t, a, b), right_norms(t, a, b)
+            left, right = index_set_norms(t, a, b)
             entry = dict(_instance_data(t, a, b, left, right), corner=exc.corner)
             logged.append(entry)
             if left != right:

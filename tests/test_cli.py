@@ -382,3 +382,29 @@ def test_paths_on_a_deeply_nested_window(capsys):
     code, out, _ = run(capsys, "paths", "--plus", plus, "--minus", minus)
     assert code == 0
     assert out.splitlines()[0] == "601 latticed paths"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("paths", "--plus", "1,a", "--minus", "2"), "--plus: 'a' is not an integer"),
+        (("paths", "--plus", "2", "--minus", "1,"), "--minus: '' is not an integer"),
+        (("paths", "--plus", "3,5,6", "--minus", "1,2,4", "--add", "1,x", "--remove", "5,6"),
+         "--add: 'x' is not an integer"),
+        (("paths", "--plus", "3,5,6", "--minus", "1,2,4", "--add", "1,2", "--remove", "5;6"),
+         "--remove: '5;6' is not an integer"),
+        (("render", "--plus", "2", "--minus", "1", "--flatten", "1"),
+         "--flatten: '1' is not an opener:closer pair"),
+        (("render", "--plus", "2", "--minus", "1", "--flatten", "1:b"),
+         "--flatten: 'b' is not an integer"),
+        (("render", "--plus", "2", "--minus", "1", "--flatten", "1:2:3"),
+         "--flatten: '2:3' is not an integer"),
+    ],
+    ids=["plus", "minus", "add", "remove", "flatten-no-colon", "flatten-token",
+         "flatten-extra-colon"],
+)
+def test_parse_errors_name_the_flag_and_the_token(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"

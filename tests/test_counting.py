@@ -6,6 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
+from fockpath import bijection
 from fockpath.bijection import _plan, left_elements, left_norms, right_elements, right_norms
 from fockpath.closedform import branching_coefficient, sign_sequence_of
 from fockpath.latticepath import collection_norms, latticed_paths, well_nested_collections
@@ -195,3 +196,19 @@ def test_closed_form_entry_points_reject_a_non_partition(call):
     for _ in range(2):
         with pytest.raises(ValueError):
             call()
+
+
+def test_index_set_norms_are_both_one_sided_counts():
+    checked = 0
+    for t, a, b in index_set_norms():
+        assert bijection.index_set_norms(t, a, b) == (left_norms(t, a, b), right_norms(t, a, b))
+        checked += 1
+    assert checked == 9878 + 2000
+
+
+@pytest.mark.parametrize("a,b", BAD_INSTANCES)
+def test_index_set_norms_rejects_as_left_elements_does(a, b):
+    t = SignSequence(frozenset({3, 5, 6}), frozenset({1, 2, 4}))
+    assert error_of(lambda: bijection.index_set_norms(t, a, b)) == error_of(
+        lambda: left_elements(t, a, b)
+    )

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations, product
 
 import pytest
@@ -5,17 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 from fockpath.latticepath import (
     LatticedPath,
+    _path_table,
     ambient_heights,
     is_valid_path,
     is_well_nested,
     latticed_paths,
     latticed_paths_by_flattening,
     make_collection,
+    mask_collections,
+    masks_well_nested,
     render_ascii,
     render_svg,
     well_nested_collections,
 )
-from fockpath.signseq import PairingError, SignSequence, match_pairs
+from fockpath.signseq import PairingError, SignSequence, bracket_pairs, match_pairs
 
 NINE_STEP = SignSequence(frozenset({2, 3, 5, 9}), frozenset({1, 4, 6, 7, 8}))
 
@@ -287,3 +291,49 @@ def test_wellnested_collections_with_a_self_paired_column():
                         assert well_nested_collections(t, {c, *a}, {c, *b}) == expected
                         checked += 1
     assert checked == 27456
+
+
+def test_mask_collections_match_the_height_filtered_product():
+    # every perfect matching on up to 7 positions, alone and next to one
+    # self-paired column; each t sits on 1..k, so its positions are its ranks
+    checked = 0
+    for k in range(1, 8):
+        for mask in range(2**k):
+            t = SignSequence(
+                frozenset(i + 1 for i in range(k) if mask >> i & 1),
+                frozenset(i + 1 for i in range(k) if not mask >> i & 1),
+            )
+            for selfs in [set()] + [{c} for c in t.positions]:
+                minus, plus = sorted(t.minus - selfs), sorted(t.plus - selfs)
+                for r in range(4):
+                    for a, b in product(combinations(minus, r), combinations(plus, r)):
+                        pairs, lone_openers, lone_closers = bracket_pairs(
+                            selfs | set(a), selfs | set(b)
+                        )
+                        if lone_openers or lone_closers:
+                            continue
+                        per_pair = [
+                            [(u, w, 0)] if u == w
+                            else [(u, w, m << (u + 1)) for m, _ in _path_table(t.word[u:w - 1])]
+                            for u, w, _ in pairs
+                        ]
+                        expected = [
+                            combo for combo in product(*per_pair)
+                            if masks_well_nested(t.word, combo)
+                        ]
+                        assert mask_collections(t.word, pairs) == expected, (t, selfs, a, b)
+                        checked += 1
+    assert checked == 10216
+
+
+def test_path_table_of_a_1000_pair_chain_in_under_a_second():
+    # 1,000 up-strokes then 1,000 down-strokes: the flattenings are the
+    # innermost j pairs for each j
+    n = 1000
+    start = time.perf_counter()
+    table = _path_table((True,) * n + (False,) * n)
+    elapsed = time.perf_counter() - start
+    assert table == tuple(
+        (((1 << j) - 1) << (n - j), 2 * n + 1 - 2 * j) for j in range(n + 1)
+    )
+    assert elapsed < 1.0
