@@ -19,8 +19,9 @@ The two norm multisets always agree; build_bijection produces an explicit
 norm-preserving bijection by recursion (strip a pair with empty plus
 interior, or split along the plus closest below a removed column).  Every
 structural assumption of the construction is asserted at runtime, and any
-failure raises ConstructionError tagged with the corner that broke, so
-callers can fall back to the multiset check.
+failure raises ConstructionError tagged with the corner that broke and
+reported against the shape whose step failed, where ``_build`` places it,
+so callers can fall back to the multiset check.
 
 The recursion runs in rank space.  An instance is its shape: T's sign
 word, held as the sign sequence on ranks 1..k, and the ranks of A and B.
@@ -57,17 +58,24 @@ from .signseq import SignSequence, bracket_pairs, onto, unpaired_plus, valley_se
 class ConstructionError(RuntimeError):
     """The explicit bijection could not be built on this instance.
 
-    ``corner`` names the construction step that failed; the instance
-    data rides along for reporting (in ranks when a sub-instance failed).
+    ``corner`` names the construction step that failed.  The failure is
+    reported against the shape whose step failed: ``_build`` places it on
+    that shape (in ranks, so a failing sub-instance names the sub-shape),
+    and build_bijection on the public instance when its own check fails.
     """
 
-    def __init__(self, corner: str, detail: str, t: SignSequence, a, b):
-        self.corner = corner
-        self.instance = (t, frozenset(a), frozenset(b))
-        super().__init__(
-            f"[{corner}] {detail} (plus={sorted(t.plus)}, minus={sorted(t.minus)}, "
-            f"A={sorted(a)}, B={sorted(b)})"
-        )
+    def __init__(self, corner: str, detail: str):
+        self.corner, self.instance = corner, None
+        super().__init__(f"[{corner}] {detail}")
+
+    def place(self, t: SignSequence, a, b) -> ConstructionError:
+        """This error, reported against (t, A, B) unless an inner build
+        already placed it on its own shape."""
+        if self.instance is None:
+            self.instance = (t, frozenset(a), frozenset(b))
+            self.args = (f"{self} (plus={sorted(t.plus)}, minus={sorted(t.minus)}, "
+                         f"A={sorted(a)}, B={sorted(b)})",)
+        return self
 
 
 @dataclass(frozen=True)
@@ -225,7 +233,10 @@ def build_bijection(t: SignSequence, a, b) -> dict[LeftElement, RightElement]:
     }
     # the keys carry the public elements' norms, so matching them also
     # checks the rank-space norms
-    _verify(mapping, lefts.keys(), rights.keys(), t, a, b)
+    try:
+        _verify(mapping, lefts.keys(), rights.keys())
+    except ConstructionError as exc:
+        raise exc.place(t, a, b)
     return {lefts[el]: rights[img] for el, img in mapping.items()}
 
 
@@ -237,19 +248,19 @@ def _ranked_entries(coll: WellNestedCollection, rank: dict[int, int]) -> tuple:
     )
 
 
-def _verify(mapping: dict, lefts, rights, t, a, b) -> None:
+def _verify(mapping: dict, lefts, rights) -> None:
     """The map is total on the set lefts, injective, onto the set rights
     and keeps norms."""
     if mapping.keys() != lefts:
-        raise ConstructionError("verify", "map domain differs from the left set", t, a, b)
+        raise ConstructionError("verify", "map domain differs from the left set")
     images = set(mapping.values())
     if len(images) != len(mapping):
-        raise ConstructionError("verify", "map is not injective", t, a, b)
+        raise ConstructionError("verify", "map is not injective")
     if images != rights:
-        raise ConstructionError("verify", "map image differs from the right set", t, a, b)
+        raise ConstructionError("verify", "map image differs from the right set")
     for el, img in mapping.items():
         if el[-1] != img[-1]:
-            raise ConstructionError("verify", f"norm {el[-1]} mapped to {img[-1]}", t, a, b)
+            raise ConstructionError("verify", f"norm {el[-1]} mapped to {img[-1]}")
 
 
 def _on_ranks(word: tuple[bool, ...]) -> SignSequence:
@@ -272,18 +283,22 @@ _SHAPE_CACHE = 64
 @lru_cache(maxsize=_SHAPE_CACHE)
 def _build(s: SignSequence, a: frozenset[int], b: frozenset[int]) -> MappingProxyType:
     """The explicit bijection of the shape (s on ranks 1..k), verified;
-    read-only, as every caller shares it."""
+    read-only, as every caller shares it.  A failing step of this shape is
+    reported against it."""
     word = s.word
-    lefts, rights = _index_sets(word, a, b)
-    if not b:
-        mapping = _base_case(s, next(iter(a)), lefts)
-    else:
-        empty_pairs = [(x, y) for x in a for y in b if x < y and not any(word[x:y - 1])]
-        if empty_pairs:
-            mapping = _case_strip(s, a, b, lefts, rights, empty_pairs)
+    try:
+        lefts, rights = _index_sets(word, a, b)
+        if not b:
+            mapping = _base_case(s, next(iter(a)), lefts)
         else:
-            mapping = _case_split(s, a, b, lefts, rights)
-    _verify(mapping, set(lefts), set(rights), s, a, b)
+            empty_pairs = [(x, y) for x in a for y in b if x < y and not any(word[x:y - 1])]
+            if empty_pairs:
+                mapping = _case_strip(s, a, b, lefts, rights, empty_pairs)
+            else:
+                mapping = _case_split(s, a, b, lefts, rights)
+        _verify(mapping, set(lefts), set(rights))
+    except ConstructionError as exc:
+        raise exc.place(s, a, b)
     return MappingProxyType(mapping)
 
 
@@ -340,22 +355,19 @@ def _index_sets(word: tuple[bool, ...], a: frozenset[int], b: frozenset[int]) ->
 # -- base case: a single added column --------------------------------------
 
 
-def _descending_mask(t: SignSequence, a, b, lo: int, hi: int) -> int:
+def _descending_mask(word: tuple[bool, ...], lo: int, hi: int) -> int:
     """Every matched pair of the window (lo, hi) flattened; no up-stroke may
     survive."""
-    pairs, unmatched = window_pairs(t.word, lo, hi)
+    pairs, unmatched = window_pairs(word, lo, hi)
     if unmatched:
         raise ConstructionError(
             "base-descending",
             f"window ({lo},{hi}) keeps unmatched up-strokes at {sorted(unmatched)}",
-            t, a, b,
         )
     return sum(1 << u for u in pairs)
 
 
 def _base_case(t: SignSequence, a0: int, lefts) -> dict:
-    a = frozenset({a0})
-    b: frozenset[int] = frozenset()
     valleys = valley_set(t)
     unpaired = unpaired_plus(t)
     mapping = {}
@@ -367,15 +379,15 @@ def _base_case(t: SignSequence, a0: int, lefts) -> dict:
             else:
                 later = sorted(v for v in valleys if v > a0)
                 if not later:
-                    raise ConstructionError("base", "no valley beyond the added column", t, a, b)
+                    raise ConstructionError("base", "no valley beyond the added column")
                 d = later[0]
-                mapping[el] = _right(t, d, d, ((a0, d, _descending_mask(t, a, b, a0, d)),))
+                mapping[el] = _right(t, d, d, ((a0, d, _descending_mask(t.word, a0, d)),))
             continue
         gamma = _entry_by_opener(entries, a0)[2]
         if c in unpaired:
-            mapping[el] = _truncation_image(t, a, b, a0, c, gamma, valleys)
+            mapping[el] = _truncation_image(t, a0, c, gamma, valleys)
         else:
-            mapping[el] = _extension_image(t, a, b, a0, c, gamma, valleys)
+            mapping[el] = _extension_image(t, a0, c, gamma, valleys)
     return mapping
 
 
@@ -384,7 +396,7 @@ def _flattened(word, lo: int, hi: int, mask: int) -> dict[int, int]:
     return {u: w for u, w in window_pairs(word, lo, hi)[0].items() if mask >> u & 1}
 
 
-def _truncation_image(t, a, b, a0, c, gamma, valleys):
+def _truncation_image(t, a0, c, gamma, valleys):
     """Unpaired completion column: cut the path at the last minus position
     not covered by a flattened pair; everything beyond it is forced."""
     flattened = _flattened(t.word, a0, c, gamma)
@@ -393,44 +405,42 @@ def _truncation_image(t, a, b, a0, c, gamma, valleys):
         covered.update(range(u, w + 1))
     candidates = [x for x in t.minus if x < c and x not in covered]
     if not candidates:
-        raise ConstructionError("base-truncation", "no uncovered minus below the column", t, a, b)
+        raise ConstructionError("base-truncation", "no uncovered minus below the column")
     d = max(candidates)
     if d not in valleys:
-        raise ConstructionError("base-truncation", f"cut position {d} is not a valley", t, a, b)
+        raise ConstructionError("base-truncation", f"cut position {d} is not a valley")
     kept = sum(1 << u for u, w in flattened.items() if w < d)
     if any(u < d <= w for u, w in flattened.items() if w >= d):
-        raise ConstructionError("base-truncation", f"a flattened pair straddles {d}", t, a, b)
+        raise ConstructionError("base-truncation", f"a flattened pair straddles {d}")
     if d == a0:
         if kept:
-            raise ConstructionError("base-truncation", "flattened pairs below the added column", t, a, b)
+            raise ConstructionError("base-truncation", "flattened pairs below the added column")
     elif not is_valid_mask(t.word, a0, d, kept):
-        raise ConstructionError("base-truncation", "cut path is not a latticed path", t, a, b)
+        raise ConstructionError("base-truncation", "cut path is not a latticed path")
     return _right(t, d, c, ((a0, d, kept),))
 
 
-def _extension_image(t, a, b, a0, c, gamma, valleys):
+def _extension_image(t, a0, c, gamma, valleys):
     """Paired completion column: keep its up-stroke and descend to the next
     valley, flattening the whole stretch in between."""
     later = sorted(v for v in valleys if v > c)
     if not later:
-        raise ConstructionError("base-extension", "no valley beyond the paired column", t, a, b)
+        raise ConstructionError("base-extension", "no valley beyond the paired column")
     d = later[0]
     wpairs, _ = window_pairs(t.word, a0, d)
     if any(wpairs.get(u) != w for u, w in _flattened(t.word, a0, c, gamma).items()):
         raise ConstructionError(
-            "base-extension", "existing flattenings are not pairs of the longer window", t, a, b
+            "base-extension", "existing flattenings are not pairs of the longer window"
         )
     extra = {u for u in wpairs if u > c}
     survivors = {x for x in range(c + 1, d) if t.word[x - 1]} - extra
     if survivors:
         raise ConstructionError(
-            "base-descending",
-            f"up-strokes {sorted(survivors)} survive between {c} and {d}",
-            t, a, b,
+            "base-descending", f"up-strokes {sorted(survivors)} survive between {c} and {d}"
         )
     mask = gamma | sum(1 << u for u in extra)
     if not is_valid_mask(t.word, a0, d, mask):
-        raise ConstructionError("base-extension", "extended path is not a latticed path", t, a, b)
+        raise ConstructionError("base-extension", "extended path is not a latticed path")
     return _right(t, d, d, ((a0, d, mask),))
 
 
@@ -459,53 +469,49 @@ def _chosen_pair(a, candidates) -> tuple[int, int]:
     return max((x for x in a if a0 < x < b0), default=a0), b0
 
 
-def _reduce(elements, step, shift, corner, t, a, b) -> dict:
+def _reduce(elements, step, shift, corner) -> dict:
     """Every element mapped by step; each image's norm must exceed the
     element's by exactly shift."""
     out = {}
     for el in elements:
         image = step(el)
         if image[-1] - el[-1] != shift:
-            raise ConstructionError(corner, f"norm shift {image[-1] - el[-1]} != {shift}", t, a, b)
+            raise ConstructionError(corner, f"norm shift {image[-1] - el[-1]} != {shift}")
         out[el] = image
     return out
 
 
-def _assert_partition(parts, whole, corner, t, a, b):
+def _assert_partition(parts, whole, corner):
     """The images of the reductions in parts are distinct and cover whole."""
     combined = [img for part in parts for img in part.values()]
     if len(set(combined)) != len(combined) or set(combined) != set(whole):
-        raise ConstructionError(
-            corner, "the reductions do not partition the index set", t, a, b
-        )
+        raise ConstructionError(corner, "the reductions do not partition the index set")
 
 
-def _checked(base, entries, openers, closers, corner, t, a, b, nested_corner=None):
+def _checked(base, entries, openers, closers, corner, nested_corner=None):
     """The entries, sorted, once they are known to still pair openers with
     closers and to stay well-nested in the word base."""
     entries = tuple(sorted(entries))
     scanned = [(u, w) for u, w, _ in bracket_pairs(openers, closers)[0]]
     if scanned != [(x, y) for x, y, _ in entries]:
-        raise ConstructionError(corner, "the windows no longer match openers to closers", t, a, b)
+        raise ConstructionError(corner, "the windows no longer match openers to closers")
     if not masks_well_nested(base, entries):
-        raise ConstructionError(nested_corner or corner, "the collection is not well-nested", t, a, b)
+        raise ConstructionError(nested_corner or corner, "the collection is not well-nested")
     return entries
 
 
-def _reaim(base, entries, old, new, corner, t, a, b) -> list:
+def _reaim(base, entries, old, new, corner) -> list:
     """The entries with the window closing at old re-read in the word base
     as closing at new, keeping its flattened pairs; none of them may reach
     new."""
     carrier = _entry_by_closer(entries, old)
     if carrier is None:
-        raise ConstructionError(corner, f"no window closes at {old}", t, a, b)
+        raise ConstructionError(corner, f"no window closes at {old}")
     x, _, mask = carrier
     if any(w >= new for w in _flattened(base, x, old, mask).values()):
-        raise ConstructionError(
-            corner, f"flattened pairs of the ({x},{old}) window reach past {new}", t, a, b
-        )
+        raise ConstructionError(corner, f"flattened pairs of the ({x},{old}) window reach past {new}")
     if not is_valid_mask(base, x, new, mask):
-        raise ConstructionError(corner, f"re-aimed path ({x},{new}) is invalid", t, a, b)
+        raise ConstructionError(corner, f"re-aimed path ({x},{new}) is invalid")
     return [e for e in entries if e is not carrier] + [(x, new, mask)]
 
 
@@ -516,45 +522,35 @@ def _case_strip(t: SignSequence, a, b, lefts, rights, empty_pairs):
     word = t.word
     a0, b0 = _chosen_pair(a, empty_pairs)
     if any(word[a0:b0 - 1]):
-        raise ConstructionError("strip", "normalisation exposed plus positions", t, a, b)
+        raise ConstructionError("strip", "normalisation exposed plus positions")
     if any(a0 < x < b0 for x in a):
-        raise ConstructionError("strip", "normalisation left members of A inside", t, a, b)
+        raise ConstructionError("strip", "normalisation left members of A inside")
     a2, b2 = a - {a0}, b - {b0}
     shift = -(1 + word[a0:b0 - 1].count(False))
 
     sub = _build(t, a2, b2)
 
-    phi = _reduce(
-        lefts,
-        lambda el: _strip_left(t, a, b, a2, b2, a0, b0, el),
-        shift, "strip", t, a, b,
-    )
-    _assert_partition((phi,), sub.keys(), "strip-left", t, a, b)
-    psi = _reduce(
-        rights,
-        lambda rel: _strip_right(t, a, b, a2, b2, a0, b0, rel),
-        shift, "strip", t, a, b,
-    )
-    _assert_partition((psi,), sub.values(), "strip-right", t, a, b)
+    phi = _reduce(lefts, lambda el: _strip_left(t, a2, b2, a0, b0, el), shift, "strip")
+    _assert_partition((phi,), sub.keys(), "strip-left")
+    psi = _reduce(rights, lambda rel: _strip_right(t, a2, b2, a0, b0, rel), shift, "strip")
+    _assert_partition((psi,), sub.values(), "strip-right")
 
     inv_psi = {img: rel for rel, img in psi.items()}
     return {el: inv_psi[sub[phi[el]]] for el in phi}
 
 
-def _strip_left(t, a, b, a2, b2, a0, b0, el):
+def _strip_left(t, a2, b2, a0, b0, el):
     c, entries, _ = el
     dropped = _entry_by_opener(entries, a0)
     if dropped[1] != (a0 if c == a0 else b0):
-        raise ConstructionError(
-            "strip-pairing", f"{a0} pairs with {dropped[1]} at column {c}", t, a, b
-        )
+        raise ConstructionError("strip-pairing", f"{a0} pairs with {dropped[1]} at column {c}")
     new_c = b0 if c == a0 else c
     rest = [e for e in entries if e is not dropped]
-    coll = _checked(t.word, rest, a2, b2 | {new_c}, "strip-pairing", t, a, b, nested_corner="strip")
+    coll = _checked(t.word, rest, a2, b2 | {new_c}, "strip-pairing", nested_corner="strip")
     return _left(t, a2, b2, new_c, coll)
 
 
-def _strip_right(t, a, b, a2, b2, a0, b0, el):
+def _strip_right(t, a2, b2, a0, b0, el):
     d, dp, entries, _ = el
     base = _shift_up(t.word, d)
     dropped = _entry_by_opener(entries, a0)
@@ -567,26 +563,22 @@ def _strip_right(t, a, b, a2, b2, a0, b0, el):
         # at d, losing only the stroke at d itself.
         if b0 != d + 1:
             raise ConstructionError(
-                "strip-interior-valley",
-                f"positions remain between interior valley {d} and {b0}",
-                t, a, b,
+                "strip-interior-valley", f"positions remain between interior valley {d} and {b0}"
             )
         if dropped[1] != d or dropped[2]:
             raise ConstructionError(
-                "strip-interior-valley",
-                f"{a0} does not carry the forced generic window to {d}",
-                t, a, b,
+                "strip-interior-valley", f"{a0} does not carry the forced generic window to {d}"
             )
-        rest = _reaim(base, rest, b0, d, "strip-interior-valley", t, a, b)
+        rest = _reaim(base, rest, b0, d, "strip-interior-valley")
     elif d == a0:
         if dropped[1] != a0:
-            raise ConstructionError("strip-pairing", f"{a0} is not self-paired at valley {d}", t, a, b)
-        rest = _reaim(base, rest, b0, a0, "strip-truncation", t, a, b)
+            raise ConstructionError("strip-pairing", f"{a0} is not self-paired at valley {d}")
+        rest = _reaim(base, rest, b0, a0, "strip-truncation")
     elif dropped[1] != b0:
         raise ConstructionError(
-            "strip-pairing", f"{a0} pairs with {dropped[1]} instead of {b0} at valley {d}", t, a, b
+            "strip-pairing", f"{a0} pairs with {dropped[1]} instead of {b0} at valley {d}"
         )
-    coll = _checked(base, rest, a2, b2 | {d}, "strip-pairing", t, a, b, nested_corner="strip")
+    coll = _checked(base, rest, a2, b2 | {d}, "strip-pairing", nested_corner="strip")
     return _right(t, d, dp, coll)
 
 
@@ -597,57 +589,45 @@ def _case_split(t: SignSequence, a, b, lefts, rights):
     word = t.word
     pairs_ab = [(x, y) for x in a for y in b if x < y]
     if not pairs_ab:
-        raise ConstructionError("split", "no opener below any removed column", t, a, b)
+        raise ConstructionError("split", "no opener below any removed column")
     sizes = {p: word[p[0]:p[1] - 1].count(True) for p in pairs_ab}
     m0 = min(sizes.values())
     if m0 == 0:
-        raise ConstructionError("split", "dispatch error: an empty plus interior remains", t, a, b)
+        raise ConstructionError("split", "dispatch error: an empty plus interior remains")
     a0, b0 = _chosen_pair(a, [p for p in pairs_ab if sizes[p] == m0])
     if word[a0:b0 - 1].count(True) != m0:
-        raise ConstructionError("split", "normalisation changed the minimal interior", t, a, b)
+        raise ConstructionError("split", "normalisation changed the minimal interior")
     if any(a0 < x < b0 for x in a | b):
-        raise ConstructionError("split", "chosen pair keeps A or B members inside", t, a, b)
+        raise ConstructionError("split", "chosen pair keeps A or B members inside")
     b1 = max(r for r in range(a0 + 1, b0) if word[r - 1])
     btil = (b - {b0}) | {b1}
     if any(word[b1:b0 - 1]):
-        raise ConstructionError("split", "plus positions between the split column and the removed column", t, a, b)
+        raise ConstructionError("split", "plus positions between the split column and the removed column")
     shift = 1 + word[b1:b0 - 1].count(False)
 
     if not onto(a, btil):
-        raise ConstructionError("split", "A is not onto the shifted removal set", t, a, b)
+        raise ConstructionError("split", "A is not onto the shifted removal set")
     sub1 = _build(t, a, btil)
-    phi1 = _reduce(
-        sub1.keys(),
-        lambda el: _split_left_extend(t, a, b, b0, b1, el),
-        shift, "split", t, a, b,
-    )
-    # the rank just below the removed column
-    mstar = b0 - 1
+    phi1 = _reduce(sub1.keys(), lambda el: _split_left_extend(t, a, b, b0, b1, el), shift, "split")
     psi1 = _reduce(
-        sub1.values(),
-        lambda rel: _split_right_extend(t, a, b, a0, b0, b1, mstar, rel),
-        shift, "split", t, a, b,
+        sub1.values(), lambda rel: _split_right_extend(t, a, b, a0, b0, b1, rel), shift, "split"
     )
 
     sub2, phi2, psi2 = {}, {}, {}
     if b0 > b1 + 1:
         # T' drops the split column b1 and the minus position b1 + 1 after it
         if not onto(a, b):
-            raise ConstructionError("split", "A not onto B in the reduced sequence", t, a, b)
+            raise ConstructionError("split", "A not onto B in the reduced sequence")
         sub2 = _build(_on_ranks(word[:b1 - 1] + word[b1 + 1:]), _to_reduced(a, b1), _to_reduced(b, b1))
         valleys, unpaired = valley_set(t), unpaired_plus(t)
-        phi2 = _reduce(
-            sub2.keys(),
-            lambda el: _split_left_insert(t, a, b, b1, el),
-            0, "split", t, a, b,
-        )
+        phi2 = _reduce(sub2.keys(), lambda el: _split_left_insert(t, a, b, b1, el), 0, "split")
         psi2 = _reduce(
             sub2.values(),
             lambda rel: _split_right_insert(t, a, b, b1, valleys, unpaired, rel),
-            0, "split", t, a, b,
+            0, "split",
         )
-    _assert_partition((phi1, phi2), lefts, "split-left", t, a, b)
-    _assert_partition((psi1, psi2), rights, "split-right", t, a, b)
+    _assert_partition((phi1, phi2), lefts, "split-left")
+    _assert_partition((psi1, psi2), rights, "split-right")
 
     out = {img: psi1[sub1[el]] for el, img in phi1.items()}
     out.update((img, psi2[sub2[el]]) for el, img in phi2.items())
@@ -677,54 +657,53 @@ def _split_left_extend(t, a, b, b0, b1, el):
     c, entries, _ = el
     if c == b0:
         return _left(t, a, b, b1, entries)
-    rest = _reaim(t.word, entries, b1, b0, "split-pairing", t, a, b)
-    return _left(t, a, b, c, _checked(t.word, rest, a, b | {c}, "split-pairing", t, a, b))
+    rest = _reaim(t.word, entries, b1, b0, "split-pairing")
+    return _left(t, a, b, c, _checked(t.word, rest, a, b | {c}, "split-pairing"))
 
 
 def _split_left_insert(t, a, b, b1, el):
     c = _from_reduced(el[0], b1)
-    coll = _reinstate_ridge(t.word, _entries_from_reduced(el[1], b1), b | {c}, b1, t, a, b)
+    coll = _reinstate_ridge(t.word, _entries_from_reduced(el[1], b1), a, b | {c}, b1)
     return _left(t, a, b, c, coll)
 
 
-def _reinstate_ridge(base, entries, closers, b1, t, a, b):
+def _reinstate_ridge(base, entries, openers, closers, b1):
     """Reinstate the adjacent plus/minus pair at (b1, b1 + 1) as a flattened
     ridge inside every window that spans it, in the word base; the result
-    must still pair A with closers and stay well-nested."""
+    must still pair openers with closers and stay well-nested."""
     out = []
     for x, y, mask in entries:
         if x < b1 < y:
             mask |= 1 << b1
         if not is_valid_mask(base, x, y, mask):
-            raise ConstructionError("split-insert", "inserted ridge breaks a path", t, a, b)
+            raise ConstructionError("split-insert", "inserted ridge breaks a path")
         out.append((x, y, mask))
-    return _checked(base, out, a, closers, "split-insert", t, a, b)
+    return _checked(base, out, openers, closers, "split-insert")
 
 
-def _split_right_extend(t, a, b, a0, b0, b1, mstar, rel):
+def _split_right_extend(t, a, b, a0, b0, b1, rel):
     d, dp, entries, _ = rel
     base = _shift_up(t.word, d)
-    if d == mstar:
+    if d == b0 - 1:  # the valley just below the removed column
         # The split column's window (a0, b1) closes at the valley instead,
         # and the window that closed at the valley moves out to b0.
         first = _entry_by_opener(entries, a0)
         if first is None or first[1] != b1:
             raise ConstructionError(
-                "split-pairing", f"{a0} does not pair with the split column at valley {d}", t, a, b
+                "split-pairing", f"{a0} does not pair with the split column at valley {d}"
             )
-        entries = _reaim(base, entries, d, b0, "split-pairing", t, a, b)
-        entries = _reaim(base, entries, b1, d, "split-pairing", t, a, b)
+        entries = _reaim(base, entries, d, b0, "split-pairing")
+        entries = _reaim(base, entries, b1, d, "split-pairing")
     else:
-        entries = _reaim(base, entries, b1, b0, "split-pairing", t, a, b)
-    return _right(t, d, dp, _checked(base, entries, a, b | {d}, "split-pairing", t, a, b))
+        entries = _reaim(base, entries, b1, b0, "split-pairing")
+    return _right(t, d, dp, _checked(base, entries, a, b | {d}, "split-pairing"))
 
 
 def _split_right_insert(t, a, b, b1, valleys, unpaired, rel):
     d, dp = _from_reduced(rel[0], b1), _from_reduced(rel[1], b1)
     if d not in valleys:
-        raise ConstructionError("split-insert", f"{d} is no valley of the full sequence", t, a, b)
-    allowed = {d} | {u for u in unpaired if u > d}
-    if dp not in allowed:
-        raise ConstructionError("split-insert", f"marker {dp} is not allowed in the full sequence", t, a, b)
-    coll = _reinstate_ridge(_shift_up(t.word, d), _entries_from_reduced(rel[2], b1), b | {d}, b1, t, a, b)
+        raise ConstructionError("split-insert", f"{d} is no valley of the full sequence")
+    if dp not in {d} | {u for u in unpaired if u > d}:
+        raise ConstructionError("split-insert", f"marker {dp} is not allowed in the full sequence")
+    coll = _reinstate_ridge(_shift_up(t.word, d), _entries_from_reduced(rel[2], b1), a, b | {d}, b1)
     return _right(t, d, dp, coll)

@@ -26,13 +26,14 @@ from .closedform import (
 from .fockspace import UnitriangularityError, get_oracle
 from .latticepath import (
     LatticedPath,
+    is_valid_path,
     latticed_paths,
     render_ascii,
     render_svg,
     well_nested_collections,
 )
 from .laurent import DivisibilityError
-from .partitions import check_e, format_partition, parse_partition
+from .partitions import Partition, check_e, check_partition, format_partition
 from .signseq import SignSequence
 from . import sweeps
 
@@ -51,6 +52,13 @@ def _parse_positions(args, name: str) -> frozenset[int]:
     if not text:
         return frozenset()
     return frozenset(_integer(x, f"--{name}") for x in text.split(","))
+
+
+def _partition(args, name: str) -> Partition:
+    """The partition given to --name; '' and '0' denote the empty one."""
+    text = getattr(args, name).strip()
+    empty = text in ("", "0", "()")
+    return check_partition([] if empty else [_integer(x, f"--{name}") for x in text.split(",")])
 
 
 def _integer(token: str, flag: str) -> int:
@@ -92,9 +100,9 @@ def _move_record(move: MoveSpec):
 
 
 def cmd_decomp(args) -> int:
-    col = parse_partition(args.col)
+    col = _partition(args, "col")
     if args.row is not None:
-        row = parse_partition(args.row)
+        row = _partition(args, "row")
         if sum(row) != sum(col):
             raise CliError(f"|{format_partition(row)}| != |{format_partition(col)}|")
         move = detect_move(col, row, args.e)
@@ -133,7 +141,7 @@ def cmd_decomp(args) -> int:
 
 
 def cmd_moves(args) -> int:
-    lam = parse_partition(args.lam)
+    lam = _partition(args, "lam")
     residues = [args.r] if args.r is not None else list(range(check_e(args.e)))
     records = [
         _move_record(move)
@@ -209,10 +217,10 @@ def cmd_oracle(args) -> int:
     oracle = get_oracle(args.e, _cache_dir(args))
     if args.mu is None:
         raise CliError("need --mu (or --n to build a cache level)")
-    mu = parse_partition(args.mu)
+    mu = _partition(args, "mu")
     element = oracle.element(mu)
     if args.lam is not None:
-        lam = parse_partition(args.lam)
+        lam = _partition(args, "lam")
         poly = oracle.coefficient(lam, mu)
         if args.json:
             print(json.dumps({"lambda": list(lam), "mu": list(mu), "poly": poly.to_json()}))
@@ -320,6 +328,10 @@ def cmd_render(args) -> int:
     pairs = set(t.matching().pairs)
     if not flattened <= pairs:
         raise CliError(f"--flatten must name matched pairs of the window; pairs are {sorted(pairs)}")
+    if not is_valid_path(path):
+        inner = [p for p in pairs - flattened if any(u < p[0] and p[1] < w for u, w in flattened)]
+        listed = ",".join(f"{u}:{w}" for u, w in sorted(inner))
+        raise CliError(f"--flatten: the pairs {listed} inside a flattened pair must be flattened too")
     if args.format == "ascii":
         text = render_ascii(path, overlay=args.overlay)
     else:  # svg; argparse restricts the formats

@@ -138,7 +138,7 @@ def _window(lo, hi, flattened=()):
 def test_checked_rejects_a_changed_pairing():
     entries = [_window(2, 5), _window(1, 6)]
     with pytest.raises(ConstructionError) as info:
-        _checked(NESTED_T, entries, {1, 2}, {3, 6}, "strip-pairing", NESTED_T, {1, 2}, {5})
+        _checked(NESTED_T, entries, {1, 2}, {3, 6}, "strip-pairing")
     assert info.value.corner == "strip-pairing"
 
 
@@ -150,10 +150,10 @@ def test_checked_rejects_masks_that_are_not_well_nested():
     assert not masks_well_nested(NESTED_T.word, entries)
     args = (NESTED_T.word, entries, {1, 2}, {5, 6})
     with pytest.raises(ConstructionError) as info:
-        _checked(*args, "split-pairing", NESTED_T, {1, 2}, {5})
+        _checked(*args, "split-pairing")
     assert info.value.corner == "split-pairing"
     with pytest.raises(ConstructionError) as info:
-        _checked(*args, "strip-pairing", NESTED_T, {1, 2}, {5}, nested_corner="strip")
+        _checked(*args, "strip-pairing", nested_corner="strip")
     assert info.value.corner == "strip"
 
 
@@ -165,15 +165,56 @@ def test_checked_rejects_masks_that_are_not_well_nested():
 def test_checked_rejects_entries_whose_pairs_differ_from_the_scan(entries):
     # the scan of {1, 2} against {5, 6} pairs 1 with 6 and 2 with 5
     with pytest.raises(ConstructionError) as info:
-        _checked(NESTED_T.word, entries, {1, 2}, {5, 6}, "split-pairing", NESTED_T, {1, 2}, {5})
+        _checked(NESTED_T.word, entries, {1, 2}, {5, 6}, "split-pairing")
     assert info.value.corner == "split-pairing"
 
 
 def test_reaim_rejects_a_flattened_mask_past_the_new_closer():
     entries = [(1, 6, 0), (2, 5, 1 << 3)]
     with pytest.raises(ConstructionError) as info:
-        _reaim(NESTED_T.word, entries, 5, 4, "strip-truncation", NESTED_T, {1, 2}, {5})
+        _reaim(NESTED_T.word, entries, 5, 4, "strip-truncation")
     assert info.value.corner == "strip-truncation"
+
+
+# -- where a construction failure is reported ---------------------------------
+
+
+@pytest.fixture
+def no_deep_nesting(monkeypatch):
+    """A planted fault: no collection of 3 or more entries is well-nested.
+    Every build starts from an empty memo, so each instance fails afresh."""
+    original = bijection.masks_well_nested
+    monkeypatch.setattr(
+        bijection, "masks_well_nested",
+        lambda word, entries: len(entries) < 3 and original(word, entries),
+    )
+    yield bijection._build.cache_clear
+    bijection._build.cache_clear()
+
+
+def test_a_failure_is_reported_against_the_shape_that_failed(no_deep_nesting):
+    no_deep_nesting()
+    t = SignSequence(frozenset({4, 5, 6}), frozenset({1, 2, 3, 7}))
+    with pytest.raises(ConstructionError) as info:
+        build_bijection(t, {1, 2, 3, 7}, {4, 5, 6})
+    assert info.value.corner == "split-pairing"
+    # the sub-shape the split reached, not the instance asked for
+    assert str(info.value).endswith("(plus=[4, 5, 6], minus=[1, 2, 3, 7], A=[1, 2, 7], B=[5, 6])")
+
+
+def test_planted_failures_keep_their_corners_and_messages(no_deep_nesting):
+    messages, corners = [], Counter()
+    for t, a, b in iter_exhaustive_instances(7):
+        no_deep_nesting()
+        try:
+            build_bijection(t, a, b)
+        except ConstructionError as exc:
+            messages.append(str(exc))
+            corners[exc.corner] += 1
+    assert corners == {"split-pairing": 33, "strip": 12}
+    assert hashlib.sha256("".join(messages).encode()).hexdigest() == (
+        "08ab01e2bfc6babb764ee7bddf1fbb6661948e2843f2e7f45609951a3ecd4b69"
+    )
 
 
 def test_index_sets_ignore_the_container_and_repeat_exactly():

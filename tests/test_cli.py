@@ -227,6 +227,23 @@ def test_render_rejects_non_pairs(capsys):
     assert code == 2
 
 
+def test_render_rejects_a_flattening_that_leaves_an_inner_pair_standing(capsys):
+    code, out, err = run(
+        capsys, "render", "--plus", "1,2", "--minus", "3,4", "--flatten", "1:4"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: --flatten: the pairs 2:3 inside a flattened pair must be flattened too\n"
+
+
+def test_render_accepts_a_down_closed_flattening(capsys):
+    code, out, _ = run(
+        capsys, "render", "--plus", "1,2", "--minus", "3,4", "--flatten", "2:3,1:4"
+    )
+    assert code == 0
+    assert out.rstrip("\n") == "____"
+
+
 def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "fockpath", "decomp", "--e", "2", "--col", "2",
@@ -404,6 +421,24 @@ def test_paths_on_a_deeply_nested_window(capsys):
          "flatten-extra-colon"],
 )
 def test_parse_errors_name_the_flag_and_the_token(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("decomp", "--e", "2", "--col", "3,a", "--r", "0"), "--col: 'a' is not an integer"),
+        (("decomp", "--e", "2", "--col", "3,1", "--row", "2,x"), "--row: 'x' is not an integer"),
+        (("moves", "--e", "2", "--lam", "3,,1"), "--lam: '' is not an integer"),
+        (("oracle", "--e", "2", "--mu", "3,1", "--lam", "2,x"), "--lam: 'x' is not an integer"),
+        (("oracle", "--e", "2", "--mu", "3;1"), "--mu: '3;1' is not an integer"),
+    ],
+    ids=["decomp-col", "decomp-row", "moves-lam", "oracle-lam", "oracle-mu"],
+)
+def test_partition_parse_errors_name_the_flag_and_the_token(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
