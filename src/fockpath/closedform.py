@@ -20,7 +20,7 @@ from typing import Iterable, Iterator
 from .laurent import LaurentPolynomial, ZERO, quantum_integer
 from .latticepath import WellNestedCollection, well_nested_collections
 from .partitions import Partition, boundary_nodes, cells, check_e, check_partition, residue
-from .signseq import PairingError, SignSequence, bijective, onto, unpaired_plus, valley_set
+from .signseq import PairingError, SignSequence, bijective, unpaired_plus, valley_set
 from . import bijection as _bijection
 
 
@@ -173,15 +173,14 @@ def branching_coefficient(
 
     Zero unless the move adds a single node whose column is a valley of the
     sign sequence (and removes nothing); then it is the quantum integer of
-    one plus the number of unpaired plus columns to the right.
+    one plus the number of unpaired plus columns to the right.  Raises
+    ValueError, as ``consistency_sums`` does, unless added and removed are
+    an induction instance of the sign sequence.
     """
     added = frozenset(added)
     removed = frozenset(removed)
-    if len(added) != len(removed) + 1 or not onto(added, removed):
-        raise ValueError(
-            "branching needs |added| = |removed| + 1 with added onto removed"
-        )
     t = sign_sequence_of(lam, e, r)
+    _bijection._check_instance(t, added, removed)
     if removed or len(added) != 1:
         return ZERO
     (a,) = added

@@ -13,9 +13,11 @@ terms; G(nu) comes from the same memo), then strip the bar-symmetric part
 of each offending coefficient using previously computed canonical
 elements, until every off-diagonal coefficient lies in v*N0[v].
 One pass in decreasing lexicographic order does it: the lexicographically
-largest offending partition is always dominance-maximal.  Divided powers
-f_r^(k) come from their closed form, one weighted term per k-set of indent
-r-nodes.
+largest offending partition is always dominance-maximal.  The same pass,
+``_eliminate``, writes vectors in the canonical basis
+(``expand_in_canonical``); only what it adds at each pivot differs.
+Divided powers f_r^(k) come from their closed form, one weighted term per
+k-set of indent r-nodes.
 
 Besides the oracle's memo of G, one bounded memo (``functools.lru_cache``,
 ``_ADDITION_CACHE`` entries) keeps the per-partition terms of f_r^(k): the
@@ -50,6 +52,7 @@ from .partitions import (
     check_e,
     check_partition,
     dominates,
+    partitions_of,
     residue,
 )
 
@@ -256,6 +259,38 @@ def _descending(p: Partition) -> tuple[int, ...]:
     return tuple(-part for part in p)
 
 
+def _eliminate(terms, element, pivot) -> dict[Partition, LaurentPolynomial]:
+    """terms plus multiples of canonical elements, added top down: at each
+    nonzero coefficient c of a partition nu, in decreasing lexicographic
+    order, pivot(nu, c) gives the multiple of G(nu) = element(nu) to add,
+    or None.
+
+    If q dominates p and q != p, the first part where they differ is larger
+    in q, so q > p lexicographically.  G(nu) lives on partitions nu
+    dominates, so adding it changes only coefficients below nu, and the
+    pass meets each partition after its last change.  Heap keys are negated
+    parts: partitions of one size are never prefixes of each other.
+    """
+    coeffs = dict(terms)
+    pending = [(_descending(p), p) for p in coeffs]
+    heapq.heapify(pending)
+    while pending:
+        _, nu = heapq.heappop(pending)
+        c = coeffs[nu]
+        multiple = pivot(nu, c) if c else None
+        if multiple is None:
+            continue
+        for p, cp in element(nu)._terms.items():
+            if p > nu:
+                raise UnitriangularityError(
+                    f"support of G({nu}) contains {p}, lexicographically above it"
+                )
+            if p not in coeffs:
+                heapq.heappush(pending, (_descending(p), p))
+            coeffs[p] = coeffs.get(p, ZERO) + cp * multiple
+    return coeffs
+
+
 class CanonicalBasisOracle:
     """Memoised canonical-basis computation for a fixed modulus e.
 
@@ -314,54 +349,34 @@ class CanonicalBasisOracle:
             return self._memo[mu]
         # Seed with f_r^(k) G(nu): (r, k) is the last ladder step and nu is mu
         # without that ladder's k nodes, which end their rows; nu keeps mu's
-        # other ladders, so it is an e-regular partition.  The seed is
-        # bar-invariant, as f_r^(k) commutes with bar, so elimination gives the
-        # unique G(mu) if the seed is 1 at mu and lexicographically below mu
-        # elsewhere; both are checked.
-        r, k = ladder_monomial(mu, self.e).steps[-1]
+        # other ladders, so it is an e-regular partition.  A node on ladder L
+        # has residue 1 - L mod e.  The seed is bar-invariant, as f_r^(k)
+        # commutes with bar, so elimination gives the unique G(mu) if the seed
+        # is 1 at mu and lexicographically below mu elsewhere; both are checked.
         end_ladders = [i + (self.e - 1) * (part - 1) for i, part in enumerate(mu, 1)]
         top = max(end_ladders)
         truncated = tuple(p - 1 if end == top else p for p, end in zip(mu, end_ladders))
         below = self._compute(tuple(p for p in truncated if p))
-        seed = apply_f_divided(below, self.e, r, k)
+        seed = apply_f_divided(below, self.e, (1 - top) % self.e, end_ladders.count(top))
         if seed.coefficient(mu) != 1:
             raise UnitriangularityError(
                 f"ladder seed of {mu} has diagonal coefficient {seed.coefficient(mu)}"
             )
-        # If q dominates p and q != p, the first part where they differ is
-        # larger in q, so q > p lexicographically.  Each pivot nu therefore
-        # changes only coefficients lexicographically below it (G(nu) lives on
-        # partitions nu dominates), and one pass in decreasing lexicographic
-        # order meets the offending partitions in the order that repeatedly
-        # taking the lexicographically largest, hence dominance-maximal, one
-        # would.  Heap keys are negated parts: partitions of one size are
-        # never prefixes of each other.
-        coeffs = dict(seed._terms)
-        pending = [(_descending(p), p) for p in coeffs]
-        heapq.heapify(pending)
-        while pending:
-            _, nu = heapq.heappop(pending)
+
+        def strip(nu: Partition, c: LaurentPolynomial) -> LaurentPolynomial | None:
             if nu > mu:
                 raise UnitriangularityError(
                     f"seed of {mu} holds {nu}, lexicographically above it"
                 )
-            c = coeffs[nu]
-            if nu == mu or not c or c.min_exponent > 0:
-                continue
+            if nu == mu or c.min_exponent > 0:
+                return None
             if not is_e_regular(nu, self.e):
                 raise UnitriangularityError(
                     f"elimination for {mu} hit the {self.e}-singular pivot {nu}"
                 )
-            symmetric, _ = c.symmetric_split()
-            strip = -symmetric
-            for p, cp in self._compute(nu)._terms.items():
-                if p > nu:
-                    raise UnitriangularityError(
-                        f"support of G({nu}) contains {p}, lexicographically above it"
-                    )
-                if p not in coeffs:
-                    heapq.heappush(pending, (_descending(p), p))
-                coeffs[p] = coeffs.get(p, ZERO) + cp * strip
+            return -c.symmetric_split()[0]
+
+        coeffs = _eliminate(seed._terms, self._compute, strip)
         vec = FockVector(coeffs)
         self._check_element(mu, vec)
         self._memo[mu] = vec
@@ -387,8 +402,6 @@ class CanonicalBasisOracle:
 
     def _load_level(self, n: int) -> None:
         self._loaded_levels.add(n)
-        if self._cache is None:
-            return
         try:
             records = self._cache.load(self.e, n)
             for mu, vec in records.items():
@@ -415,19 +428,15 @@ class CanonicalBasisOracle:
 
     def save_level(self, n: int) -> str:
         """Compute every e-regular element of size n and write the level file."""
-        from .partitions import partitions_of
-
         if n < 0:
             raise ValueError(f"cache level size must be non-negative, got {n}")
+        if self._cache is None:
+            raise ValueError("oracle has no cache directory")
         with self._lock:
             for mu in partitions_of(n):
                 if is_e_regular(mu, self.e):
                     self.element(mu)
-            entries = {
-                mu: vec for mu, vec in self._memo.items() if sum(mu) == n
-            }
-            if self._cache is None:
-                raise ValueError("oracle has no cache directory")
+            entries = {mu: vec for mu, vec in self._memo.items() if sum(mu) == n}
             return self._cache.store(self.e, n, entries)
 
 
@@ -575,37 +584,23 @@ def expand_in_canonical(
 ) -> dict[Partition, LaurentPolynomial]:
     """Write x as a combination of canonical basis elements.
 
-    Gaussian from the top: the lexicographically largest, hence
-    dominance-maximal, support member must be the label of a canonical
-    element, so its coefficient is final.  As in the oracle's elimination,
-    one pass in decreasing lexicographic order meets every pivot, since
-    G(sigma) only changes coefficients below sigma.  Raises
-    SingularPivotError when a needed label is e-singular,
+    Gaussian from the top, in the oracle's pass (``_eliminate``): the
+    lexicographically largest, hence dominance-maximal, support member must
+    be the label of a canonical element, so its coefficient is final.
+    Raises SingularPivotError when a needed label is e-singular,
     UnitriangularityError when an element reaches above its label, and
     ValueError when the oracle is for another modulus.
     """
     oracle = oracle or get_oracle(e)
     if oracle.e != e:
         raise ValueError(f"expansion at e={e} given an oracle for e={oracle.e}")
-    rem = dict(x._terms)
-    pending = [(_descending(p), p) for p in rem]
-    heapq.heapify(pending)
     out: dict[Partition, LaurentPolynomial] = {}
-    while pending:
-        _, sigma = heapq.heappop(pending)
-        c = rem[sigma]
-        if not c:
-            continue
+
+    def record(sigma: Partition, c: LaurentPolynomial) -> LaurentPolynomial:
         if not is_e_regular(sigma, e):
             raise SingularPivotError(f"expansion pivot {sigma} is {e}-singular")
         out[sigma] = c
-        strip = -c
-        for p, coeff in oracle.element(sigma).vector._terms.items():
-            if p > sigma:
-                raise UnitriangularityError(
-                    f"support of G({sigma}) contains {p}, lexicographically above it"
-                )
-            if p not in rem:
-                heapq.heappush(pending, (_descending(p), p))
-            rem[p] = rem.get(p, ZERO) + coeff * strip
+        return -c
+
+    _eliminate(x._terms, lambda sigma: oracle.element(sigma).vector, record)
     return out

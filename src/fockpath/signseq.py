@@ -76,12 +76,14 @@ def bracket_pairs(
             out[stack.pop()][1] = r
         else:
             lone.append(r)
-    if stack:
-        # no closer met an opener left open, nor any opener below it, so a
-        # scan without them pairs alike and numbers the parents right
-        left_open = [out[k][0] for k in stack]
-        return bracket_pairs(openers - set(left_open), closers)[0], left_open, lone
-    return out, [], lone
+    if not stack:
+        return out, [], lone
+    # Drop the openers left open and renumber the parents.  Each opener below
+    # a left-open one is left open too, so a left-open parent becomes -1.
+    left_open = set(stack)
+    pairs = [[u, w, -1 if p in left_open else p - bisect_left(stack, p)]
+             for k, (u, w, p) in enumerate(out) if k not in left_open]
+    return pairs, [out[k][0] for k in stack], lone
 
 
 def match_pairs(openers: Iterable[int], closers: Iterable[int]) -> Matching:

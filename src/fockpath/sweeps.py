@@ -3,7 +3,10 @@
 Each sweep walks a budgeted family of instances, records every failure with
 enough data to reproduce it, and returns a JSON-able report.  All sweeps
 are deterministic for a fixed configuration (the random sampler takes an
-explicit seed).
+explicit seed).  The formula, branching and consistency sweeps share one
+walk over (e, lam) budgets, the branching and consistency sweeps and the
+exhaustive instances one filter of onto column sets, and every failure on a
+partition is placed by the same fields: lam, e, r, then A and B.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from .fockspace import (
 )
 from .latticepath import WellNestedCollection
 from .laurent import ZERO, LaurentPolynomial
-from .partitions import boundary_nodes, check_e, partitions_of
+from .partitions import Partition, boundary_nodes, check_e, partitions_of
 from .signseq import SignSequence, onto
 
 
@@ -112,33 +115,49 @@ def run_formula_sweep(cfg: FormulaSweepConfig) -> SweepReport:
     coefficient exactly (0 when the matching is imperfect)."""
     report = SweepReport(kind="formula")
     nonzero = 0
-    oracles = {}
-    for e, max_n in cfg.budgets:
-        oracle = oracles[e] = get_oracle(e, cfg.cache_dir)
-        for n in range(max_n + 1):
-            for lam in partitions_of(n):
-                if not is_e_regular(lam, e):
+    oracles = {e: get_oracle(e, cfg.cache_dir) for e, _ in cfg.budgets}
+    for e, lam in _labels(cfg.budgets):
+        for r in range(e):
+            for a, b in column_sets(sign_sequence_of(lam, e, r), 0):
+                move = MoveSpec(lam, e, r, frozenset(a), frozenset(b))
+                collections = decomposition_paths(move)
+                formula = norm_polynomial(collections)
+                d = oracles[e].coefficient(move.target, lam)
+                report.checked += 1
+                if formula != d:
+                    report.fail(**_where(lam, e, r, a, b), formula=str(formula), oracle=str(d))
                     continue
-                for r in range(e):
-                    for a, b in column_sets(sign_sequence_of(lam, e, r), 0):
-                        move = MoveSpec(lam, e, r, frozenset(a), frozenset(b))
-                        collections = decomposition_paths(move)
-                        formula = norm_polynomial(collections)
-                        target = move.target
-                        d = oracle.coefficient(target, lam)
-                        report.checked += 1
-                        if formula != d:
-                            report.fail(
-                                lam=list(lam), e=e, r=r, A=list(a), B=list(b),
-                                formula=str(formula), oracle=str(d),
-                            )
-                            continue
-                        if formula:
-                            nonzero += 1
-                        _check_shape(report, move, formula, collections)
+                if formula:
+                    nonzero += 1
+                _check_shape(report, move, formula, collections)
     report.notes["nonzero"] = nonzero
     report.notes["oracle"] = _oracle_stats(oracles)
     return report
+
+
+def _labels(budgets, regular: bool = True) -> Iterator[tuple[int, Partition]]:
+    """(e, lam) for every partition lam of size at most max_n, e-regular
+    unless regular is False, per (e, max_n) budget in order."""
+    for e, _ in budgets:
+        check_e(e)  # a modulus below 2 would sweep no residue at all, and pass
+    for e, max_n in budgets:
+        for n in range(max_n + 1):
+            for lam in partitions_of(n):
+                if not regular or is_e_regular(lam, e):
+                    yield e, lam
+
+
+def _induction_sets(t: SignSequence) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The column sets (A, B) of t with |A| = |B| + 1 and A onto B."""
+    return ((a, b) for a, b in column_sets(t, 1) if onto(a, b))
+
+
+def _where(lam, e: int, r: int, a=None, b=None) -> dict:
+    """The fields that place a failure: lam, e, r, then any columns A and B."""
+    where = {"lam": list(lam), "e": e, "r": r}
+    if a is not None:
+        where.update(A=sorted(a), B=sorted(b))
+    return where
 
 
 def _oracle_stats(oracles: dict) -> dict:
@@ -155,22 +174,19 @@ def _check_shape(
     effective = move.added - move.removed
     if move.is_identity:
         if poly != 1:
-            report.fail(kind="diagonal", lam=list(move.lam), e=move.e, r=move.r,
-                        poly=str(poly))
+            report.fail(kind="diagonal", **_where(move.lam, move.e, move.r), poly=str(poly))
         return
     if poly.is_zero:
         return
+    where = _where(move.lam, move.e, move.r, move.added, move.removed)
     if not poly.in_positive_part():
-        report.fail(kind="positivity", lam=list(move.lam), e=move.e, r=move.r,
-                    A=sorted(move.added), B=sorted(move.removed), poly=str(poly))
+        report.fail(kind="positivity", **where, poly=str(poly))
         return
     if poly.min_exponent < len(effective):
-        report.fail(kind="low-degree", lam=list(move.lam), e=move.e, r=move.r,
-                    A=sorted(move.added), B=sorted(move.removed), poly=str(poly))
+        report.fail(kind="low-degree", **where, poly=str(poly))
     top = max(c.norm for c in collections)
     if poly.max_exponent != top or poly.coefficient(top) != 1:
-        report.fail(kind="top-degree", lam=list(move.lam), e=move.e, r=move.r,
-                    A=sorted(move.added), B=sorted(move.removed), poly=str(poly))
+        report.fail(kind="top-degree", **where, poly=str(poly))
     _check_first_row(report, move, poly)
 
 
@@ -190,8 +206,7 @@ def _check_first_row(report: SweepReport, move: MoveSpec, poly: LaurentPolynomia
     )
     other = decomposition_polynomial(trimmed)
     if other != poly:
-        report.fail(kind="first-row", lam=list(move.lam), e=move.e, r=move.r,
-                    A=sorted(move.added), B=sorted(move.removed),
+        report.fail(kind="first-row", **_where(move.lam, move.e, move.r, move.added, move.removed),
                     poly=str(poly), trimmed=str(other))
 
 
@@ -213,33 +228,22 @@ def run_branching_sweep(cfg: BranchingSweepConfig) -> SweepReport:
     skipped (only regular targets are extractable)."""
     report = SweepReport(kind="branching")
     blocked = 0
-    oracles = {}
-    for e, max_n in cfg.budgets:
-        oracle = oracles[e] = get_oracle(e, cfg.cache_dir)
-        for n in range(max_n + 1):
-            for lam in partitions_of(n):
-                if not is_e_regular(lam, e):
-                    continue
-                g = oracle.element(lam).vector
-                for r in range(e):
-                    x = apply_f(g, e, r)
-                    try:
-                        coeffs = expand_in_canonical(x, e, oracle)
-                    except SingularPivotError:
-                        blocked += 1
-                        continue
-                    for a, b in column_sets(sign_sequence_of(lam, e, r), 1):
-                        if not onto(a, b):
-                            continue
-                        formula = branching_coefficient(lam, e, r, a, b)
-                        target = apply_move(lam, e, r, a, b)
-                        extracted = coeffs.get(target, ZERO)
-                        report.checked += 1
-                        if formula != extracted:
-                            report.fail(
-                                lam=list(lam), e=e, r=r, A=list(a), B=list(b),
-                                formula=str(formula), extracted=str(extracted),
-                            )
+    oracles = {e: get_oracle(e, cfg.cache_dir) for e, _ in cfg.budgets}
+    for e, lam in _labels(cfg.budgets):
+        g = oracles[e].element(lam).vector
+        for r in range(e):
+            try:
+                coeffs = expand_in_canonical(apply_f(g, e, r), e, oracles[e])
+            except SingularPivotError:
+                blocked += 1
+                continue
+            for a, b in _induction_sets(sign_sequence_of(lam, e, r)):
+                formula = branching_coefficient(lam, e, r, a, b)
+                extracted = coeffs.get(apply_move(lam, e, r, a, b), ZERO)
+                report.checked += 1
+                if formula != extracted:
+                    report.fail(**_where(lam, e, r, a, b), formula=str(formula),
+                                extracted=str(extracted))
     report.notes["blocked"] = blocked
     report.notes["oracle"] = _oracle_stats(oracles)
     return report
@@ -266,9 +270,8 @@ def iter_exhaustive_instances(
         for mask in range(2**k):
             plus = frozenset(i + 1 for i in range(k) if mask >> i & 1)
             t = SignSequence(plus, frozenset(range(1, k + 1)) - plus)
-            for a, b in column_sets(t, 1):
-                if onto(a, b):
-                    yield t, frozenset(a), frozenset(b)
+            for a, b in _induction_sets(t):
+                yield t, frozenset(a), frozenset(b)
 
 
 def sample_instances(
@@ -389,22 +392,12 @@ class ConsistencySweepConfig:
 def run_consistency_sweep(cfg: ConsistencySweepConfig) -> SweepReport:
     """Left and right evaluations of the induction coefficient must agree for
     every partition within budget, e-singular ones included."""
-    # a modulus below 2 would sweep no residue at all, and pass
-    for e in cfg.e_values:
-        check_e(e)
     report = SweepReport(kind="consistency")
-    for e in cfg.e_values:
-        for n in range(cfg.max_n + 1):
-            for lam in partitions_of(n):
-                for r in range(e):
-                    for a, b in column_sets(sign_sequence_of(lam, e, r), 1):
-                        if not onto(a, b):
-                            continue
-                        lhs, rhs = consistency_sums(lam, e, r, a, b)
-                        report.checked += 1
-                        if lhs != rhs:
-                            report.fail(
-                                lam=list(lam), e=e, r=r, A=list(a), B=list(b),
-                                left=str(lhs), right=str(rhs),
-                            )
+    for e, lam in _labels([(e, cfg.max_n) for e in cfg.e_values], regular=False):
+        for r in range(e):
+            for a, b in _induction_sets(sign_sequence_of(lam, e, r)):
+                lhs, rhs = consistency_sums(lam, e, r, a, b)
+                report.checked += 1
+                if lhs != rhs:
+                    report.fail(**_where(lam, e, r, a, b), left=str(lhs), right=str(rhs))
     return report

@@ -218,3 +218,34 @@ def test_column_sets_is_the_ordered_subset_filter(plus, minus, surplus):
 def test_norm_polynomial_of_nothing_is_zero():
     assert norm_polynomial(()) == ZERO
     assert norm_polynomial(()).is_zero
+
+
+def _rejection(call, *args):
+    try:
+        call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_branching_rejects_an_instance_as_consistency_does():
+    with pytest.raises(ValueError, match=r"^A=\[5\] must consist of minus positions$"):
+        branching_coefficient((2,), 2, 1, {5}, set())
+    reasons = ("must consist of minus positions", "must consist of plus positions",
+               "need |A| = |B| + 1", "is not onto")
+    seen = set()
+    for e in (2, 3):
+        for n in range(6):
+            for lam in partitions_of(n):
+                for r in range(e):
+                    t = sign_sequence_of(lam, e, r)
+                    # n + 2 is beyond every boundary column of lam
+                    positions = sorted(t.plus | t.minus) + [n + 2]
+                    subsets = [s for k in range(3) for s in combinations(positions, k)]
+                    for a in subsets:
+                        for b in subsets[:len(positions) + 1]:  # |B| <= 1
+                            want = _rejection(consistency_sums, lam, e, r, a, b)
+                            assert _rejection(branching_coefficient, lam, e, r, a, b) == want
+                            if want:
+                                seen.update(x for x in reasons if x in want[1])
+    assert seen == set(reasons)

@@ -465,3 +465,10 @@ def test_cached_level_breaking_an_invariant_is_discarded_and_rebuilt(tmp_path):
     for mu in entries:
         assert oracle.element(mu).vector == fresh.element(mu).vector
     assert not os.path.exists(path)
+
+
+def test_save_level_without_a_cache_fails_before_computing():
+    oracle = CanonicalBasisOracle(2)
+    with pytest.raises(ValueError, match="oracle has no cache directory"):
+        oracle.save_level(16)
+    assert oracle.stats()["computed"] == 0
