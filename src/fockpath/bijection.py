@@ -12,8 +12,9 @@ positions, |A| = |B| + 1 and A onto B:
   the matching of A to B + d in T with d flipped to plus.
 
 Both index sets take their columns from one plan per instance, a single
-pass over the sign word and the ranks of A and B (``_plan``);
-index_set_norms counts both on one plan, on ranks (mask_norms).
+pass over the sign word and the ranks of A and B that the instance check
+returns (``_check_instance``, ``_plan``); index_set_norms counts both on
+one plan, on ranks (mask_norms).
 
 The two norm multisets always agree; build_bijection produces an explicit
 norm-preserving bijection by recursion (strip a pair with empty plus
@@ -33,7 +34,7 @@ the rank-space index sets, and kept in a bounded memo keyed on the shape,
 so the sub-instances the recursion reaches again, and every instance of the
 same order type, are lookups.  build_bijection reads the map of T's shape
 and verifies it once more against the public left_elements and
-right_elements, whose LeftElement and RightElement objects it returns.
+right_elements, read in ranks by ``rank_entries``, whose objects it returns.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .latticepath import (
     mask_collections,
     mask_norms,
     masks_well_nested,
+    rank_entries,
     well_nested_collections,
     window_pairs,
 )
@@ -93,7 +95,10 @@ class RightElement:
     norm: int
 
 
-def _check_instance(t: SignSequence, a: frozenset[int], b: frozenset[int]) -> None:
+def _check_instance(
+    t: SignSequence, a: frozenset[int], b: frozenset[int]
+) -> tuple[frozenset[int], frozenset[int]]:
+    """The ranks of A and B in t, once (t, A, B) is known to be an instance."""
     if not a <= t.minus:
         raise ValueError(f"A={sorted(a)} must consist of minus positions")
     if not b <= t.plus:
@@ -102,11 +107,7 @@ def _check_instance(t: SignSequence, a: frozenset[int], b: frozenset[int]) -> No
         raise ValueError(f"need |A| = |B| + 1, got {len(a)} and {len(b)}")
     if not onto(a, b):
         raise ValueError(f"A={sorted(a)} is not onto B={sorted(b)}")
-
-
-def _ranks(t: SignSequence, a, b) -> tuple[frozenset[int], frozenset[int]]:
-    """The ranks of A and B in t."""
-    rank = {p: r for r, p in enumerate(t.positions, 1)}
+    rank = t.ranks
     return frozenset(rank[x] for x in a), frozenset(rank[y] for y in b)
 
 
@@ -144,9 +145,8 @@ def _plan(word: tuple[bool, ...], a: frozenset[int], b: frozenset[int]) -> tuple
 
 def left_elements(t: SignSequence, a, b) -> tuple[LeftElement, ...]:
     a, b = frozenset(a), frozenset(b)
-    _check_instance(t, a, b)
     out = []
-    for c, shift in _plan(t.word, *_ranks(t, a, b))[0]:
+    for c, shift in _plan(t.word, *_check_instance(t, a, b))[0]:
         c = t.positions[c - 1]
         out.extend(
             LeftElement(position=c, collection=coll, norm=shift + coll.norm)
@@ -157,9 +157,8 @@ def left_elements(t: SignSequence, a, b) -> tuple[LeftElement, ...]:
 
 def right_elements(t: SignSequence, a, b) -> tuple[RightElement, ...]:
     a, b = frozenset(a), frozenset(b)
-    _check_instance(t, a, b)
     out = []
-    for d, markers in _plan(t.word, *_ranks(t, a, b))[1]:
+    for d, markers in _plan(t.word, *_check_instance(t, a, b))[1]:
         d = t.positions[d - 1]
         colls = well_nested_collections(t.shift_up(d), a, b | {d})
         out.extend(
@@ -172,10 +171,8 @@ def right_elements(t: SignSequence, a, b) -> tuple[RightElement, ...]:
 
 def index_set_norms(t: SignSequence, a, b) -> tuple[Counter[int], Counter[int]]:
     """Norm -> number of left elements and of right elements, counted on one
-    check, one rank map and one plan without building the elements."""
-    a, b = frozenset(a), frozenset(b)
-    _check_instance(t, a, b)
-    word, (a, b) = t.word, _ranks(t, a, b)
+    checked ranking and one plan without building the elements."""
+    word, (a, b) = t.word, _check_instance(t, frozenset(a), frozenset(b))
     completions, valleys = _plan(word, a, b)
     left: Counter[int] = Counter()
     for c, shift in completions:
@@ -218,17 +215,16 @@ def build_bijection(t: SignSequence, a, b) -> dict[LeftElement, RightElement]:
     norm-preserving before being returned.
     """
     a, b = frozenset(a), frozenset(b)
-    _check_instance(t, a, b)
-    rank = {p: r for r, p in enumerate(t.positions, 1)}
+    rank = t.ranks
     # an instance on 1..k is its own rank sequence, cached views and all
     ranked = t if t.positions == tuple(range(1, len(rank) + 1)) else _on_ranks(t.word)
-    mapping = _build(ranked, frozenset(rank[x] for x in a), frozenset(rank[y] for y in b))
+    mapping = _build(ranked, *_check_instance(t, a, b))
     lefts = {
-        (rank[el.position], _ranked_entries(el.collection, rank), el.norm): el
+        (rank[el.position], rank_entries(t, el.collection.entries), el.norm): el
         for el in left_elements(t, a, b)
     }
     rights = {
-        (rank[el.valley], rank[el.marker], _ranked_entries(el.collection, rank), el.norm): el
+        (rank[el.valley], rank[el.marker], rank_entries(t, el.collection.entries), el.norm): el
         for el in right_elements(t, a, b)
     }
     # the keys carry the public elements' norms, so matching them also
@@ -238,14 +234,6 @@ def build_bijection(t: SignSequence, a, b) -> dict[LeftElement, RightElement]:
     except ConstructionError as exc:
         raise exc.place(t, a, b)
     return {lefts[el]: rights[img] for el, img in mapping.items()}
-
-
-def _ranked_entries(coll: WellNestedCollection, rank: dict[int, int]) -> tuple:
-    """The collection's (opener, closer, mask) entries in ranks."""
-    return tuple(
-        (rank[x], rank[y], sum(1 << rank[u] for u, _ in path.flattened))
-        for x, y, path in coll.entries
-    )
 
 
 def _verify(mapping: dict, lefts, rights) -> None:

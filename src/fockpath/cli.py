@@ -5,8 +5,9 @@ covered moves from a partition), paths (latticed paths / well-nested
 collections of a sign sequence), oracle (canonical-basis coefficients and
 the level cache), verify (the verification sweeps), render (path drawing).
 
-Exit codes: 0 success, 1 verification failure, 2 usage, scope or file error,
-3 a broken invariant of the oracle or of exact arithmetic (a bug).
+Exit codes: 0 success, 1 verification failure, 2 usage, scope or file error
+(a flag that the command would ignore included), 3 a broken invariant of
+the oracle or of exact arithmetic (a bug).
 """
 
 from __future__ import annotations
@@ -68,6 +69,13 @@ def _integer(token: str, flag: str) -> int:
         raise CliError(f"{flag}: {token.strip()!r} is not an integer") from None
 
 
+def _reject(args, names, context: str) -> None:
+    """CliError for the first of the flags names given: context ignores it."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise CliError(f"--{name.replace('_', '-')} does not apply to {context}")
+
+
 def _cache_dir(args) -> str | None:
     if getattr(args, "cache", None):
         return args.cache
@@ -102,6 +110,7 @@ def _move_record(move: MoveSpec):
 def cmd_decomp(args) -> int:
     col = _partition(args, "col")
     if args.row is not None:
+        _reject(args, ("r", "add", "remove"), "decomp --row")
         row = _partition(args, "row")
         if sum(row) != sum(col):
             raise CliError(f"|{format_partition(row)}| != |{format_partition(col)}|")
@@ -202,6 +211,7 @@ def cmd_paths(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.n is not None:
+        _reject(args, ("mu", "lam"), "oracle --n")
         directory = _cache_dir(args)
         if directory is None:
             raise CliError("--n needs a cache directory (--cache or FOCKPATH_CACHE)")
@@ -250,8 +260,20 @@ def _given(**flags) -> dict:
     return {name: value for name, value in flags.items() if value is not None}
 
 
+# The verify flags, in the order a stray one is named, and those each kind reads.
+_SWEEP_FLAGS = ("max_positions", "samples", "seed", "report", "e", "max_n", "cache")
+_VERIFY_READS = {
+    "formula": {"e", "max_n", "cache"},
+    "branching": {"e", "max_n", "cache"},
+    "bijection": {"max_positions", "samples", "seed", "report"},
+    "construction": {"max_positions"},
+    "consistency": {"e", "max_n"},
+}
+
+
 def cmd_verify(args) -> int:
     kind = args.kind
+    _reject(args, [f for f in _SWEEP_FLAGS if f not in _VERIFY_READS[kind]], f"verify {kind}")
     if kind == "formula":
         cfg = sweeps.FormulaSweepConfig
         report = sweeps.run_formula_sweep(

@@ -386,9 +386,12 @@ class CanonicalBasisOracle:
     def _check_element(self, mu: Partition, vec: FockVector) -> None:
         if vec.coefficient(mu) != 1:
             raise UnitriangularityError(f"diagonal coefficient at {mu} is not 1")
+        size = sum(mu)
         for p, c in vec._terms.items():
             if p == mu:
                 continue
+            if sum(p) != size:
+                raise UnitriangularityError(f"support of G({mu}) contains {p}, of another size")
             if not c.in_positive_part():
                 raise UnitriangularityError(
                     f"coefficient of {p} in G({mu}) is {c}, outside v*N0[v]"
@@ -402,18 +405,21 @@ class CanonicalBasisOracle:
 
     def _load_level(self, n: int) -> None:
         self._loaded_levels.add(n)
+        path = self._cache.path(self.e, n)
         try:
             records = self._cache.load(self.e, n)
             for mu, vec in records.items():
+                if sum(mu) != n or not is_e_regular(mu, self.e):
+                    raise CacheError(f"{path}: {mu} is no {self.e}-regular partition of {n}")
                 try:
                     self._check_element(mu, vec)
                 except UnitriangularityError as exc:
-                    raise CacheError(f"{self._cache.path(self.e, n)}: {exc}") from exc
+                    raise CacheError(f"{path}: {exc}") from exc
         except FileNotFoundError:
             self.levels_missing += 1
             return
         except CacheError as exc:
-            # corrupt file or broken invariant: drop it and recompute, but say so
+            # corrupt file, foreign record or broken invariant: recompute, but say so
             self._cache.discard(self.e, n)
             self.cache_discards += 1
             warnings.warn(

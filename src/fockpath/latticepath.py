@@ -28,7 +28,9 @@ its parent flattens): ``well_nested_collections`` as LatticedPath objects,
 rank, mask) entries.  ``mask_norms`` counts collections by norm with a
 dynamic programme over the nesting forest, building nothing, and
 ``collection_norms`` is ``mask_norms`` behind the public argument check.
-``masks_well_nested`` and ``is_valid_mask`` check entries.
+``masks_well_nested`` and ``is_valid_mask`` check rank masks, and the object
+checks ``is_well_nested`` and ``is_valid_path`` run them on masks read
+through ``SignSequence.ranks`` (``rank_entries``).
 """
 
 from __future__ import annotations
@@ -208,12 +210,8 @@ def latticed_paths_by_flattening(window: SignSequence) -> frozenset[LatticedPath
 
 
 def ambient_heights(t: SignSequence) -> tuple[dict[int, int], list[int]]:
-    """Rank of each position (1-based) and generic heights after each stroke.
-
-    heights[k] is the level of the generic path after its first k strokes;
-    heights[0] = 0.
-    """
-    return {p: k for k, p in enumerate(t.positions, start=1)}, list(t.prefix_heights)
+    """t's ranks, as a dict, and its generic path's prefix heights."""
+    return dict(t.ranks), list(t.prefix_heights)
 
 
 def path_profile(
@@ -282,14 +280,21 @@ def nested_pair_relations(pairs: Iterable[Pair]) -> list[tuple[Pair, Pair]]:
     return out
 
 
-def is_well_nested(
-    t: SignSequence, entries: Iterable[tuple[int, int, LatticedPath]]
-) -> bool:
-    """Check the nesting condition of a candidate collection against t."""
-    return masks_well_nested(t.word, [
-        (t.rank(a), t.rank(b), sum(1 << t.rank(u) for u, _ in path.flattened))
-        for a, b, path in entries
-    ])
+def rank_entries(t: SignSequence, entries: Iterable[tuple[int, int, LatticedPath]]) -> tuple:
+    """(opener, closer, path) entries as (opener rank, closer rank, mask) in
+    t's ranks, the mask holding the ranks of the openers the path flattens."""
+    rank = t.ranks
+    return tuple((rank[x], rank[y], _mask(rank, path)) for x, y, path in entries)
+
+
+def _mask(rank, path: LatticedPath) -> int:
+    return sum(1 << rank[u] for u, _ in path.flattened)
+
+
+def is_well_nested(t: SignSequence, entries: Iterable[tuple[int, int, LatticedPath]]) -> bool:
+    """The nesting condition of a candidate collection against t: its genuine
+    entries, in ranks, are masks_well_nested (a self-pair need not be in t)."""
+    return masks_well_nested(t.word, rank_entries(t, [e for e in entries if e[0] != e[1]]))
 
 
 def masks_well_nested(
@@ -385,9 +390,9 @@ def collection_norms(
     mask_norms on the scanned pairs in ranks (a self-pair, which mask_norms
     skips, need not be a position of t).
     """
-    rank = t.rank
+    rank = t.ranks
     return Counter(mask_norms(t.word, [
-        [u, w, parent] if u == w else [rank(u), rank(w), parent]
+        [u, w, parent] if u == w else [rank[u], rank[w], parent]
         for u, w, parent in _perfect_matching(t, openers, closers)
     ]))
 
@@ -414,17 +419,13 @@ def _times(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
 
 
 def is_valid_path(path: LatticedPath) -> bool:
-    """Flattened pairs are matched pairs of the window, down-closed."""
+    """Flattened pairs are matched pairs of the window, down-closed
+    (is_valid_mask on the window's word and ranks)."""
+    window = path.window
     if path.degenerate:
-        return not path.window.positions and not path.flattened
-    pairs = set(path.window.matching().pairs)
-    if not path.flattened <= pairs:
-        return False
-    for u, w in path.flattened:
-        for u2, w2 in pairs:
-            if u < u2 and w2 < w and (u2, w2) not in path.flattened:
-                return False
-    return True
+        return not window.positions and not path.flattened
+    return path.flattened <= set(window.matching().pairs) and is_valid_mask(
+        window.word, 0, len(window.word) + 1, _mask(window.ranks, path))
 
 
 # -- paths as rank masks --------------------------------------------------

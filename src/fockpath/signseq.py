@@ -7,7 +7,8 @@ pairing machinery below is classical bracket matching on that path.
 
 Every matching of an opener set against a closer set is one unmemoised
 scan, ``bracket_pairs``, which ``match_pairs`` and the collection code
-read; ``onto`` and ``bijective`` count path levels instead.
+read; ``onto`` and ``bijective`` count path levels instead.  A sequence
+owns its one rank map, ``positions`` one way and ``ranks`` the other.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from typing import AbstractSet, Iterable
+from types import MappingProxyType
+from typing import AbstractSet, Iterable, Mapping
 
 
 class PairingError(ValueError):
@@ -140,11 +142,11 @@ class SignSequence:
     """Disjoint plus and minus positions.
 
     Equality, hashing and repr are those of (plus, minus).  The sorted
-    positions, the sign word, the generic path's prefix heights and the
-    matching are computed once per object, on first use
-    (``cached_property`` writes the instance ``__dict__``, which the frozen
-    dataclass allows); ``restrict`` fills a window's positions and word
-    from this sequence's.
+    positions (rank -> position), the rank map (position -> rank), the sign
+    word, the generic path's prefix heights and the matching are computed
+    once per object, on first use (``cached_property`` writes the instance
+    ``__dict__``, which the frozen dataclass allows); ``restrict`` fills a
+    window's positions and word from this sequence's.
     """
 
     plus: frozenset[int]
@@ -162,6 +164,11 @@ class SignSequence:
     @cached_property
     def positions(self) -> tuple[int, ...]:
         return tuple(sorted(self.plus | self.minus))
+
+    @cached_property
+    def ranks(self) -> Mapping[int, int]:
+        """Read-only position -> 1-based rank; the inverse of positions."""
+        return MappingProxyType({p: r for r, p in enumerate(self.positions, 1)})
 
     @cached_property
     def word(self) -> tuple[bool, ...]:
@@ -185,10 +192,7 @@ class SignSequence:
 
     def rank(self, position: int) -> int:
         """1-based rank of a position; KeyError if it is none of t's."""
-        k = bisect_left(self.positions, position)
-        if k == len(self.positions) or self.positions[k] != position:
-            raise KeyError(position)
-        return k + 1
+        return self.ranks[position]
 
     def height(self, x: int) -> int:
         """Level of the generic path after every stroke at a position <= x,

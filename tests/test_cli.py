@@ -443,3 +443,33 @@ def test_partition_parse_errors_name_the_flag_and_the_token(capsys, argv, messag
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "construction", "--max-positions", "3", "--samples", "5", "--seed", "9",
+          "--max-n", "4", "--e", "3", "--report", "r.jsonl"),
+         "--samples does not apply to verify construction"),
+        (("verify", "consistency", "--max-n", "3", "--cache", "c"),
+         "--cache does not apply to verify consistency"),
+        (("verify", "formula", "--max-n", "3", "--seed", "1"),
+         "--seed does not apply to verify formula"),
+        (("verify", "bijection", "--max-positions", "3", "--e", "2"),
+         "--e does not apply to verify bijection"),
+        (("decomp", "--e", "2", "--col", "2", "--row", "1,1", "--add", "1"),
+         "--add does not apply to decomp --row"),
+        (("decomp", "--e", "2", "--col", "2", "--row", "1,1", "--r", "0"),
+         "--r does not apply to decomp --row"),
+        (("oracle", "--e", "2", "--n", "3", "--cache", "c", "--lam", "2,1"),
+         "--lam does not apply to oracle --n"),
+    ],
+    ids=["construction", "consistency-cache", "formula-seed", "bijection-e", "decomp-add",
+         "decomp-r", "oracle-lam"],
+)
+def test_a_flag_the_command_would_ignore_is_a_usage_error(capsys, tmp_path, monkeypatch, argv,
+                                                          message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []

@@ -472,3 +472,46 @@ def test_save_level_without_a_cache_fails_before_computing():
     with pytest.raises(ValueError, match="oracle has no cache directory"):
         oracle.save_level(16)
     assert oracle.stats()["computed"] == 0
+
+
+
+def _plant_foreign_label(entries):
+    entries[(2,)] = vec(((2,), {0: 1}), ((1, 1), {5: 1}))
+
+
+def _plant_foreign_term(entries):
+    entries[(3,)] = entries[(3,)] + FockVector.basis((2, 2)).scale(V)
+
+
+def _plant_singular_label(entries):
+    entries[(1, 1, 1)] = FockVector.basis((1, 1, 1))
+
+
+@pytest.mark.parametrize(
+    "plant, match",
+    [
+        (_plant_foreign_label, r"\(2,\) is no 2-regular partition of 3"),
+        (_plant_foreign_term, r"support of G\(\(3,\)\) contains \(2, 2\), of another size"),
+        (_plant_singular_label, r"\(1, 1, 1\) is no 2-regular partition of 3"),
+    ],
+    ids=["label-of-size-2", "term-of-size-4", "2-singular-label"],
+)
+def test_cached_record_of_another_level_is_discarded_and_rebuilt(tmp_path, plant, match):
+    CanonicalBasisOracle(2, cache_dir=tmp_path / "planted").save_level(3)
+    cache = OracleCache(tmp_path / "planted")
+    entries = cache.load(2, 3)
+    plant(entries)  # the checksum stays valid
+    cache.store(2, 3, entries)
+    assert cache.load(2, 3) == entries
+    oracle = CanonicalBasisOracle(2, cache_dir=tmp_path / "planted")
+    with pytest.warns(RuntimeWarning, match="canonical_e2_n3.jsonl: " + match):
+        oracle.element((3,))
+    assert oracle.stats()["cache_discards"] == 1
+    fresh = CanonicalBasisOracle(2, cache_dir=tmp_path / "fresh")
+    assert oracle.coefficient((1, 1), (2,)) == fresh.coefficient((1, 1), (2,)) == V
+    for mu in [(1,), (2,), (3,), (2, 1)]:
+        assert oracle.element(mu).vector == fresh.element(mu).vector
+    # a foreign record is not written back
+    oracle.save_level(3)
+    fresh.save_level(3)
+    assert cache.load(2, 3) == OracleCache(tmp_path / "fresh").load(2, 3)

@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fockpath.closedform import MoveSpec, decomposition_paths
 from fockpath.latticepath import (
     LatticedPath,
     _path_table,
@@ -337,3 +338,54 @@ def test_path_table_of_a_1000_pair_chain_in_under_a_second():
         (((1 << j) - 1) << (n - j), 2 * n + 1 - 2 * j) for j in range(n + 1)
     )
     assert elapsed < 1.0
+
+
+def _spread_windows(max_positions):
+    """Every sign word on up to max_positions strokes, on the positions
+    1, 4, 7, ... so that positions and ranks differ."""
+    for k in range(max_positions + 1):
+        for word in product((True, False), repeat=k):
+            spots = [3 * i + 1 for i in range(k)]
+            yield SignSequence(
+                frozenset(p for p, up in zip(spots, word) if up),
+                frozenset(p for p, up in zip(spots, word) if not up),
+            )
+
+
+def test_is_valid_path_is_down_closure_and_membership():
+    for window in _spread_windows(8):
+        pairs = window.matching().pairs
+        flattenings = {path.flattened for path in latticed_paths(window)}
+        for k in range(len(pairs) + 1):
+            for chosen in combinations(pairs, k):
+                flat = frozenset(chosen)
+                down_closed = all(
+                    (u2, w2) in flat
+                    for u, w in flat
+                    for u2, w2 in pairs
+                    if u < u2 and w2 < w
+                )
+                valid = is_valid_path(LatticedPath(window, flat))
+                assert valid == down_closed == (flat in flattenings), (window, flat)
+
+
+def test_is_valid_path_rejects_a_pair_with_the_wrong_closer():
+    window = SignSequence({1, 2}, {3, 4})
+    assert window.matching().pairs == ((1, 4), (2, 3))
+    assert is_valid_path(LatticedPath(window, frozenset({(1, 4), (2, 3)})))
+    assert not is_valid_path(LatticedPath(window, frozenset({(2, 4)})))
+    assert not is_valid_path(LatticedPath(window, frozenset({(1, 3), (2, 3)})))
+
+
+def test_is_well_nested_accepts_self_pairs_off_the_sequence():
+    t = SignSequence({2}, {1})
+    colls = well_nested_collections(t, [1, 7], [2, 7])
+    assert [entry[:2] for entry in colls[0].entries] == [(1, 2), (7, 7)]
+    assert all(is_well_nested(t, coll.entries) for coll in colls)
+
+
+def test_is_well_nested_accepts_a_move_overlapping_off_the_nodes():
+    # column 9 is both added and removed, and no node of the sign sequence
+    colls = decomposition_paths(MoveSpec((2,), 2, 1, {1, 9}, {2, 9}))
+    assert [entry[:2] for entry in colls[0].entries] == [(1, 2), (9, 9)]
+    assert all(is_well_nested(coll.base, coll.entries) for coll in colls)

@@ -301,3 +301,16 @@ def test_cached_fields_leave_equality_hash_and_repr_alone():
     window = t.between(1, 9)
     assert window == SignSequence(window.plus, window.minus)
     assert hash(window) == hash((window.plus, window.minus))
+
+
+def test_ranks_are_the_read_only_inverse_of_the_positions():
+    t = SignSequence(frozenset({2, 3, 5, 9}), frozenset({1, 4, 6, 7, 8}))
+    for window in (t, t.between(1, 9), SignSequence(frozenset({-4, 10}), frozenset({0}))):
+        assert dict(window.ranks) == {p: window.rank(p) for p in window.positions}
+        assert [window.positions[window.ranks[p] - 1] for p in window.positions] == list(
+            window.positions
+        )
+    with pytest.raises(TypeError):
+        t.ranks[10] = 10
+    with pytest.raises(KeyError):
+        t.ranks[10]
