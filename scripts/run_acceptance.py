@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
 """Run every verification sweep at full acceptance budgets and summarise.
 
-Equivalent to the CLI `fockpath verify ...` invocations, collected in one
-place; exits nonzero if any sweep reports a failure.  --deep adds, after the
-default sweeps, a formula sweep at sweeps.DEEP_FORMULA_BUDGETS, a branching
-sweep at sweeps.DEEP_BRANCHING_BUDGETS, an exhaustive norm-multiset sweep on
-up to sweeps.DEEP_BIJECTION_POSITIONS positions, the explicit bijection on
-every instance up to sweeps.DEEP_CONSTRUCTION_POSITIONS positions, the
-consistency sweep up to size sweeps.DEEP_CONSISTENCY_N, and map-digest: the
-sha256 of the explicit map on every instance up to MAP_DIGEST_POSITIONS
-positions, printed in canonical form, must equal MAP_DIGEST.
+The sweeps and both tiers come from sweeps.SWEEPS: each sweep at its
+acceptance config, then, with --deep, each at its deep config (as
+<kind>-deep) and map-digest: the sha256 of the explicit map on every
+instance up to MAP_DIGEST_POSITIONS positions, printed in canonical form,
+must equal MAP_DIGEST.  --cache goes to every config with a cache_dir.
+Exits nonzero if any sweep reports a failure.
 """
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -66,42 +64,23 @@ def run_map_digest() -> sweeps.SweepReport:
     return report
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cache", help="oracle cache directory")
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--deep", action="store_true",
-                        help="also run the deep formula, branching, bijection, "
-                             "construction and consistency budgets")
-    args = parser.parse_args()
+                        help="also run every sweep's deep tier and map-digest")
+    args = parser.parse_args(argv)
 
-    # The acceptance budgets are the config dataclasses' defaults.
-    runs = [
-        ("formula", lambda: sweeps.run_formula_sweep(
-            sweeps.FormulaSweepConfig(cache_dir=args.cache))),
-        ("branching", lambda: sweeps.run_branching_sweep(
-            sweeps.BranchingSweepConfig(cache_dir=args.cache))),
-        ("bijection", lambda: sweeps.run_bijection_sweep(sweeps.BijectionSweepConfig())),
-        ("construction", lambda: sweeps.run_construction_sweep(
-            sweeps.ConstructionSweepConfig())),
-        ("consistency", lambda: sweeps.run_consistency_sweep(
-            sweeps.ConsistencySweepConfig())),
-    ]
+    tiers = [("", "acceptance"), ("-deep", "deep")] if args.deep else [("", "acceptance")]
+    runs = []
+    for suffix, tier in tiers:
+        for kind, sweep in sweeps.SWEEPS.items():
+            cfg = getattr(sweep, tier)
+            if hasattr(cfg, "cache_dir"):
+                cfg = dataclasses.replace(cfg, cache_dir=args.cache)
+            runs.append((kind + suffix, functools.partial(sweep.run, cfg)))
     if args.deep:
-        runs.append(("formula-deep", lambda: sweeps.run_formula_sweep(
-            sweeps.FormulaSweepConfig(budgets=sweeps.DEEP_FORMULA_BUDGETS,
-                                      cache_dir=args.cache))))
-        runs.append(("branching-deep", lambda: sweeps.run_branching_sweep(
-            sweeps.BranchingSweepConfig(budgets=sweeps.DEEP_BRANCHING_BUDGETS,
-                                        cache_dir=args.cache))))
-        runs.append(("bijection-deep", lambda: sweeps.run_bijection_sweep(
-            sweeps.BijectionSweepConfig(
-                max_positions=sweeps.DEEP_BIJECTION_POSITIONS, samples=0))))
-        runs.append(("construction-deep", lambda: sweeps.run_construction_sweep(
-            sweeps.ConstructionSweepConfig(
-                max_positions=sweeps.DEEP_CONSTRUCTION_POSITIONS))))
-        runs.append(("consistency-deep", lambda: sweeps.run_consistency_sweep(
-            sweeps.ConsistencySweepConfig(max_n=sweeps.DEEP_CONSISTENCY_N))))
         runs.append(("map-digest", run_map_digest))
 
     all_ok = True

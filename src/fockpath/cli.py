@@ -13,6 +13,7 @@ the oracle or of exact arithmetic (a bug).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -27,11 +28,12 @@ from .closedform import (
 from .fockspace import UnitriangularityError, get_oracle
 from .latticepath import (
     LatticedPath,
-    is_valid_path,
     latticed_paths,
     render_ascii,
     render_svg,
+    standing_pairs,
     well_nested_collections,
+    window_pairs,
 )
 from .laurent import DivisibilityError
 from .partitions import Partition, check_e, check_partition, format_partition
@@ -186,23 +188,14 @@ def cmd_paths(args) -> int:
             }
             for c in colls
         ]
-        if args.json:
-            print(json.dumps(records, sort_keys=True))
-        else:
-            print(f"{len(colls)} well-nested collections")
-            for rec in records:
-                print(f"norm {rec['norm']}: {rec['windows']}")
+        lines = [f"{len(colls)} well-nested collections"]
+        lines += [f"norm {rec['norm']}: {rec['windows']}" for rec in records]
     else:
         paths = latticed_paths(t)
-        records = [
-            {"norm": p.norm, "flattened": sorted(map(list, p.flattened))} for p in paths
-        ]
-        if args.json:
-            print(json.dumps(records, sort_keys=True))
-        else:
-            print(f"{len(paths)} latticed paths")
-            for rec in records:
-                print(f"norm {rec['norm']}: flattened {rec['flattened']}")
+        records = [{"norm": p.norm, "flattened": sorted(map(list, p.flattened))} for p in paths]
+        lines = [f"{len(paths)} latticed paths"]
+        lines += [f"norm {rec['norm']}: flattened {rec['flattened']}" for rec in records]
+    print(json.dumps(records, sort_keys=True) if args.json else "\n".join(lines))
     return 0
 
 
@@ -254,52 +247,29 @@ def cmd_oracle(args) -> int:
 # -- verify ---------------------------------------------------------------------
 
 
-def _given(**flags) -> dict:
-    """The flags given on the command line; the others keep the defaults of
-    the sweep's config dataclass."""
-    return {name: value for name, value in flags.items() if value is not None}
-
-
-# The verify flags, in the order a stray one is named, and those each kind reads.
+# The verify flags, in the order a stray one is named; the field each sets if
+# not its own name (--e and --max-n set the budgets of a config with them).
 _SWEEP_FLAGS = ("max_positions", "samples", "seed", "report", "e", "max_n", "cache")
-_VERIFY_READS = {
-    "formula": {"e", "max_n", "cache"},
-    "branching": {"e", "max_n", "cache"},
-    "bijection": {"max_positions", "samples", "seed", "report"},
-    "construction": {"max_positions"},
-    "consistency": {"e", "max_n"},
-}
+_FIELDS = {"e": "e_values", "cache": "cache_dir", "report": "report_path"}
 
 
 def cmd_verify(args) -> int:
-    kind = args.kind
-    _reject(args, [f for f in _SWEEP_FLAGS if f not in _VERIFY_READS[kind]], f"verify {kind}")
-    if kind == "formula":
-        cfg = sweeps.FormulaSweepConfig
-        report = sweeps.run_formula_sweep(
-            cfg(budgets=_budgets(args, cfg.budgets), cache_dir=_cache_dir(args))
-        )
-    elif kind == "branching":
-        cfg = sweeps.BranchingSweepConfig
-        report = sweeps.run_branching_sweep(
-            cfg(budgets=_budgets(args, cfg.budgets), cache_dir=_cache_dir(args))
-        )
-    elif kind == "bijection":
-        report = sweeps.run_bijection_sweep(
-            sweeps.BijectionSweepConfig(
-                **_given(max_positions=args.max_positions, samples=args.samples, seed=args.seed)
-            ),
-            report_path=args.report,
-        )
-    elif kind == "construction":
-        report = sweeps.run_construction_sweep(
-            sweeps.ConstructionSweepConfig(**_given(max_positions=args.max_positions))
-        )
-    else:  # consistency; argparse restricts the kinds
-        e_values = _moduli(args)
-        report = sweeps.run_consistency_sweep(
-            sweeps.ConsistencySweepConfig(**_given(e_values=e_values, max_n=args.max_n))
-        )
+    sweep = sweeps.SWEEPS[args.kind]
+    cfg = sweep.acceptance
+    fields = {f.name for f in dataclasses.fields(cfg)}
+    budgets = "budgets" in fields
+    field = {f: "budgets" if budgets and f in ("e", "max_n") else _FIELDS.get(f, f)
+             for f in _SWEEP_FLAGS}
+    _reject(args, [f for f in _SWEEP_FLAGS if field[f] not in fields], f"verify {args.kind}")
+    # the given flags; the other fields keep the acceptance config's values
+    given = {field[f]: getattr(args, f) for f in _SWEEP_FLAGS if getattr(args, f) is not None}
+    if budgets:
+        given["budgets"] = _budgets(args, cfg.budgets)
+    if "e_values" in given:
+        given["e_values"] = _moduli(args)
+    if "cache_dir" in fields:
+        given["cache_dir"] = _cache_dir(args)
+    report = sweep.run(dataclasses.replace(cfg, **given))
     if args.json:
         print(json.dumps(report.to_json(), sort_keys=True))
     else:
@@ -346,14 +316,17 @@ def cmd_render(args) -> int:
             if not colon:
                 raise CliError(f"--flatten: {chunk.strip()!r} is not an opener:closer pair")
             flattened.add((_integer(u, "--flatten"), _integer(w, "--flatten")))
-    path = LatticedPath(t, frozenset(flattened))
-    pairs = set(t.matching().pairs)
-    if not flattened <= pairs:
-        raise CliError(f"--flatten must name matched pairs of the window; pairs are {sorted(pairs)}")
-    if not is_valid_path(path):
-        inner = [p for p in pairs - flattened if any(u < p[0] and p[1] < w for u, w in flattened)]
-        listed = ",".join(f"{u}:{w}" for u, w in sorted(inner))
+    # the window's pairs in ranks, by their pair of positions
+    at = t.positions
+    pairs, _ = window_pairs(t.word, 0, len(at) + 1)
+    opener = {(at[u - 1], at[w - 1]): u for u, w in pairs.items()}
+    if not flattened <= opener.keys():
+        raise CliError(f"--flatten must name matched pairs of the window; pairs are {sorted(opener)}")
+    inner = standing_pairs(pairs, sum(1 << opener[p] for p in flattened))
+    if inner:
+        listed = ",".join(f"{at[u - 1]}:{at[w - 1]}" for u, w in sorted(inner))
         raise CliError(f"--flatten: the pairs {listed} inside a flattened pair must be flattened too")
+    path = LatticedPath(t, frozenset(flattened))
     if args.format == "ascii":
         text = render_ascii(path, overlay=args.overlay)
     else:  # svg; argparse restricts the formats
@@ -420,9 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument(
-        "kind", choices=["formula", "branching", "bijection", "construction", "consistency"]
-    )
+    p.add_argument("kind", choices=list(sweeps.SWEEPS))
     p.add_argument("--e", type=int, action="append")
     p.add_argument("--max-n", type=_count)
     p.add_argument("--max-positions", type=_count)

@@ -30,7 +30,8 @@ dynamic programme over the nesting forest, building nothing, and
 ``collection_norms`` is ``mask_norms`` behind the public argument check.
 ``masks_well_nested`` and ``is_valid_mask`` check rank masks, and the object
 checks ``is_well_nested`` and ``is_valid_path`` run them on masks read
-through ``SignSequence.ranks`` (``rank_entries``).
+through ``SignSequence.ranks`` (``rank_entries``).  ``standing_pairs`` is
+the one down-closure rule, run by ``is_valid_mask`` and ``fockpath render``.
 """
 
 from __future__ import annotations
@@ -449,19 +450,19 @@ def window_pairs(word: tuple[bool, ...], lo: int, hi: int) -> tuple[dict[int, in
     return pairs, stack
 
 
+def standing_pairs(pairs: dict[int, int], mask: int) -> list[Pair]:
+    """The pairs of a window_pairs matching that mask leaves standing
+    inside a pair it flattens; none when mask is down-closed."""
+    flattened = [(u, w) for u, w in pairs.items() if mask >> u & 1]
+    return [(u, w) for u, w in pairs.items()
+            if not mask >> u & 1 and any(x < u and w < y for x, y in flattened)]
+
+
 def is_valid_mask(word: tuple[bool, ...], lo: int, hi: int, mask: int) -> bool:
     """is_valid_path on ranks: mask flattens matched pairs of the window
     strictly between lo and hi, down-closed."""
     pairs, _ = window_pairs(word, lo, hi)
-    flattened = {u: w for u, w in pairs.items() if mask >> u & 1}
-    if mask != sum(1 << u for u in flattened):
-        return False
-    return all(
-        u2 in flattened
-        for u, w in flattened.items()
-        for u2, w2 in pairs.items()
-        if u < u2 and w2 < w
-    )
+    return mask == sum(1 << u for u in pairs if mask >> u & 1) and not standing_pairs(pairs, mask)
 
 
 def mask_collections(

@@ -7,6 +7,10 @@ explicit seed).  The formula, branching and consistency sweeps share one
 walk over (e, lam) budgets, the branching and consistency sweeps and the
 exhaustive instances one filter of onto column sets, and every failure on a
 partition is placed by the same fields: lam, e, r, then A and B.
+
+``SWEEPS`` holds each sweep's runner and its acceptance and deep configs
+(frozen, as the entries are shared) for ``fockpath verify`` and
+``scripts/run_acceptance.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Any, Callable, Iterator
 
 from .bijection import ConstructionError, build_bijection, index_set_norms
 from .closedform import (
@@ -90,22 +94,11 @@ def _timed(sweep):
 # -- formula vs oracle (with output-shape checks) ---------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class FormulaSweepConfig:
     budgets: tuple[tuple[int, int], ...] = ((2, 12), (3, 10), (4, 9))
     cache_dir: str | None = None
 
-
-# A deeper formula-vs-oracle tier; budgets start at n = 0, one per modulus.
-DEEP_FORMULA_BUDGETS = ((4, 16), (5, 16), (2, 24), (3, 22))
-# A deeper branching tier; budgets start at n = 0, one per modulus.
-DEEP_BRANCHING_BUDGETS = ((2, 22), (3, 20))
-# A deeper norm-multiset tier: every instance on up to this many positions.
-DEEP_BIJECTION_POSITIONS = 10
-# A deeper explicit-bijection tier: every instance on up to this many positions.
-DEEP_CONSTRUCTION_POSITIONS = 9
-# A deeper consistency tier: every partition up to this size, at e in (2, 3).
-DEEP_CONSISTENCY_N = 18
 
 
 @_timed
@@ -213,7 +206,7 @@ def _check_first_row(report: SweepReport, move: MoveSpec, poly: LaurentPolynomia
 # -- branching cross-check ---------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BranchingSweepConfig:
     budgets: tuple[tuple[int, int], ...] = ((2, 12), (3, 10), (4, 9))
     cache_dir: str | None = None
@@ -252,12 +245,13 @@ def run_branching_sweep(cfg: BranchingSweepConfig) -> SweepReport:
 # -- bijection identity and explicit construction ----------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class BijectionSweepConfig:
     max_positions: int = 8
     samples: int = 10000
     sample_positions: int = 12
     seed: int = 2011
+    report_path: str | None = None  # one JSON line per instance, when set
 
 
 def iter_exhaustive_instances(
@@ -296,15 +290,15 @@ def sample_instances(
 
 
 @_timed
-def run_bijection_sweep(cfg: BijectionSweepConfig, report_path: str | None = None) -> SweepReport:
+def run_bijection_sweep(cfg: BijectionSweepConfig) -> SweepReport:
     """Norm multisets of the two index sets must agree on every instance.
 
-    With report_path, one JSON line per instance is written:
+    With cfg.report_path, one JSON line per instance is written there:
     {"T": {...}, "A": [...], "B": [...], "ok": bool, "normsL": [...],
     "normsR": [...]}.
     """
     report = SweepReport(kind="bijection")
-    stream = open(report_path, "w", encoding="utf-8") if report_path else None
+    stream = open(cfg.report_path, "w", encoding="utf-8") if cfg.report_path else None
     try:
         def check(t, a, b):
             report.checked += 1
@@ -331,7 +325,7 @@ def run_bijection_sweep(cfg: BijectionSweepConfig, report_path: str | None = Non
     return report
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConstructionSweepConfig:
     max_positions: int = 8
 
@@ -382,7 +376,7 @@ def _instance_data(t: SignSequence, a, b, left: Counter[int], right: Counter[int
 # -- two-sided consistency on partitions -------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConsistencySweepConfig:
     e_values: tuple[int, ...] = (2, 3)
     max_n: int = 10
@@ -401,3 +395,29 @@ def run_consistency_sweep(cfg: ConsistencySweepConfig) -> SweepReport:
                 if lhs != rhs:
                     report.fail(**_where(lam, e, r, a, b), left=str(lhs), right=str(rhs))
     return report
+
+
+# -- the table of sweeps and tiers --------------------------------------------
+
+
+@dataclass(frozen=True)
+class Sweep:
+    run: Callable[[Any], SweepReport]
+    acceptance: Any  # the config class's defaults
+    deep: Any
+
+
+# Every sweep in the order verify lists and run_acceptance.py runs them; deep
+# budgets start at n = 0, one per modulus.
+SWEEPS = {
+    "formula": Sweep(run_formula_sweep, FormulaSweepConfig(),
+                     FormulaSweepConfig(budgets=((4, 16), (5, 16), (2, 24), (3, 22)))),
+    "branching": Sweep(run_branching_sweep, BranchingSweepConfig(),
+                       BranchingSweepConfig(budgets=((2, 22), (3, 20)))),
+    "bijection": Sweep(run_bijection_sweep, BijectionSweepConfig(),
+                       BijectionSweepConfig(max_positions=10, samples=0)),
+    "construction": Sweep(run_construction_sweep, ConstructionSweepConfig(),
+                          ConstructionSweepConfig(max_positions=9)),
+    "consistency": Sweep(run_consistency_sweep, ConsistencySweepConfig(),
+                         ConsistencySweepConfig(max_n=18)),
+}

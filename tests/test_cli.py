@@ -1,3 +1,4 @@
+import itertools
 import json
 import shlex
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from fockpath.cli import main
+from fockpath.latticepath import latticed_paths
+from fockpath.signseq import SignSequence
 
 
 def run(capsys, *argv):
@@ -242,6 +245,37 @@ def test_render_accepts_a_down_closed_flattening(capsys):
     )
     assert code == 0
     assert out.rstrip("\n") == "____"
+
+
+def test_render_accepts_exactly_the_flattenings_of_latticed_paths(capsys):
+    # every sign word on up to 6 positions, spread out so that no rank is
+    # its position, and every set of its matched pairs
+    for k in range(7):
+        for signs in itertools.product((True, False), repeat=k):
+            plus = [3 * i + 2 for i in range(k) if signs[i]]
+            minus = [3 * i + 2 for i in range(k) if not signs[i]]
+            t = SignSequence(frozenset(plus), frozenset(minus))
+            pairs = t.matching().pairs
+            paths = {path.flattened for path in latticed_paths(t)}
+            for size in range(len(pairs) + 1):
+                for flat in itertools.combinations(pairs, size):
+                    code, out, err = run(
+                        capsys, "render", "--plus", ",".join(map(str, plus)),
+                        "--minus", ",".join(map(str, minus)),
+                        "--flatten", ",".join(f"{u}:{w}" for u, w in flat),
+                    )
+                    standing = [
+                        (x, y) for x, y in pairs
+                        if (x, y) not in flat and any(u < x and y < w for u, w in flat)
+                    ]
+                    assert (frozenset(flat) in paths) == (not standing)
+                    if not standing:
+                        assert (code, err) == (0, "")
+                    else:
+                        listed = ",".join(f"{x}:{y}" for x, y in sorted(standing))
+                        assert (code, out) == (2, "")
+                        assert err == (f"error: --flatten: the pairs {listed} inside a "
+                                       "flattened pair must be flattened too\n")
 
 
 def test_module_entry_point():

@@ -1,8 +1,11 @@
+import dataclasses
 import importlib.util
+import json
 import os
 
 import pytest
 
+from fockpath import sweeps
 from fockpath.laurent import LaurentPolynomial
 
 
@@ -48,3 +51,71 @@ def test_decomposition_table_fails_on_a_disagreement(capsys, monkeypatch):
 def test_decomposition_table_rejects_a_bad_modulus_or_size(capsys, argv, message):
     assert _script("decomposition_table").main(argv) == 2
     assert capsys.readouterr() == ("", message)
+
+
+@pytest.fixture
+def acceptance(monkeypatch):
+    """run_acceptance.py with every runner of sweeps.SWEEPS and map-digest
+    replaced by a fake that records its config; a kind put in the returned
+    set reports one failure."""
+    script = _script("run_acceptance")
+    calls, failing = [], set()
+
+    def fake(kind):
+        def run(cfg):
+            calls.append((kind, cfg))
+            report = sweeps.SweepReport(kind=kind, checked=1)
+            if kind in failing:
+                report.fail(planted=kind)
+            return report
+        return run
+
+    for kind, sweep in sweeps.SWEEPS.items():
+        monkeypatch.setitem(sweeps.SWEEPS, kind, dataclasses.replace(sweep, run=fake(kind)))
+    monkeypatch.setattr(script, "run_map_digest", lambda: fake("map-digest")(None))
+    return script, calls, failing
+
+
+@pytest.mark.parametrize("failing", [None, *sweeps.SWEEPS, "map-digest"])
+def test_run_acceptance_exits_1_when_a_sweep_fails(acceptance, capsys, failing):
+    script, _, planted = acceptance
+    if failing is not None:
+        planted.add(failing)
+    assert script.main(["--deep"]) == (0 if failing is None else 1)
+    failed = [line for line in capsys.readouterr().out.splitlines() if "FAILED" in line]
+    expected = {None: 0, "map-digest": 1}.get(failing, 2)  # a kind fails in both tiers
+    assert len(failed) == expected
+
+
+def test_run_acceptance_runs_both_tiers_of_the_table_in_order(acceptance, capsys):
+    script, calls, _ = acceptance
+    kinds = list(sweeps.SWEEPS)
+    acceptance_runs = [(kind, sweeps.SWEEPS[kind].acceptance) for kind in kinds]
+    assert script.main(["--json"]) == 0
+    assert [r["kind"] for r in json.loads(capsys.readouterr().out)] == kinds
+    assert calls == acceptance_runs
+
+    calls.clear()
+    assert script.main(["--deep", "--json"]) == 0
+    assert [r["kind"] for r in json.loads(capsys.readouterr().out)] == kinds * 2 + ["map-digest"]
+    deep_runs = [(kind, sweeps.SWEEPS[kind].deep) for kind in kinds]
+    assert calls == acceptance_runs + deep_runs + [("map-digest", None)]
+
+    assert script.main(["--deep"]) == 0
+    names = [line.split(":")[0].strip() for line in capsys.readouterr().out.splitlines()]
+    assert names == kinds + [f"{kind}-deep" for kind in kinds] + ["map-digest"]
+
+
+def test_run_acceptance_passes_cache_to_the_configs_with_a_cache_dir(acceptance, capsys):
+    script, calls, _ = acceptance
+    assert script.main(["--deep", "--cache", "levels"]) == 0
+    capsys.readouterr()
+    cached = [kind for kind, cfg in calls if getattr(cfg, "cache_dir", None) == "levels"]
+    assert cached == ["formula", "branching"] * 2
+    tiers = [sweep.acceptance for sweep in sweeps.SWEEPS.values()]
+    tiers += [sweep.deep for sweep in sweeps.SWEEPS.values()]
+    uncached = [
+        dataclasses.replace(cfg, cache_dir=None) if hasattr(cfg, "cache_dir") else cfg
+        for _, cfg in calls[:-1]
+    ]
+    assert uncached == tiers
