@@ -6,6 +6,7 @@ acceptance config, then, with --deep, each at its deep config (as
 <kind>-deep) and map-digest: the sha256 of the explicit map on every
 instance up to MAP_DIGEST_POSITIONS positions, printed in canonical form,
 must equal MAP_DIGEST.  --cache goes to every config with a cache_dir.
+--json prints each run's report with the run's name, as the text names it.
 Exits nonzero if any sweep reports a failure.
 """
 
@@ -88,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     for name, runner in runs:
         report = runner()
         all_ok &= report.ok
-        results.append(report.to_json())
+        results.append({**report.to_json(), "name": name})
         if not args.json:
             status = "ok" if report.ok else "FAILED"
             print(f"{name:>12}: {status} ({report.checked} checks, {report.seconds:.1f}s)")

@@ -25,7 +25,7 @@ from .closedform import (
     detect_move,
     norm_polynomial,
 )
-from .fockspace import UnitriangularityError, get_oracle
+from .fockspace import UnitriangularityError, cache_roundtrip, get_oracle
 from .latticepath import (
     LatticedPath,
     latticed_paths,
@@ -208,8 +208,6 @@ def cmd_oracle(args) -> int:
         directory = _cache_dir(args)
         if directory is None:
             raise CliError("--n needs a cache directory (--cache or FOCKPATH_CACHE)")
-        from .fockspace import cache_roundtrip
-
         status = cache_roundtrip(directory, args.e, args.n)
         print(
             json.dumps(status)
@@ -231,13 +229,7 @@ def cmd_oracle(args) -> int:
             print(f"d[{format_partition(lam)}, {format_partition(mu)}](v) = {poly}")
         return 0
     if args.json:
-        record = {
-            "mu": list(mu),
-            "terms": [
-                {"lambda": list(p), "poly": c.to_json()} for p, c in element.vector.items()
-            ],
-        }
-        print(json.dumps(record, sort_keys=True))
+        print(json.dumps(element.to_json(), sort_keys=True))
     else:
         for p, c in element.vector.items():
             print(f"{format_partition(p)}: {c}")

@@ -252,6 +252,30 @@ class CanonicalBasisElement:
     def coefficient(self, lam: Partition) -> LaurentPolynomial:
         return self.vector.coefficient(lam)
 
+    def to_json(self) -> dict:
+        """The record of one cache line and of ``fockpath oracle --json``."""
+        return {
+            "mu": list(self.mu),
+            "terms": [{"lambda": list(p), "poly": c.to_json()} for p, c in self.vector.items()],
+        }
+
+    @classmethod
+    def from_json(cls, record: Mapping) -> "CanonicalBasisElement":
+        """The inverse of to_json.  Parts, exponents and coefficients must be
+        JSON integers and no lambda may repeat (a later term would replace an
+        earlier one): anything else raises TypeError or ValueError."""
+        terms = {_json_partition(t["lambda"]): LaurentPolynomial.from_json(t["poly"])
+                 for t in record["terms"]}
+        if len(terms) != len(record["terms"]):
+            raise ValueError(f"a lambda repeats in the terms of G({record['mu']})")
+        return cls(_json_partition(record["mu"]), FockVector(terms))
+
+
+def _json_partition(parts) -> Partition:
+    if type(parts) is not list or not {int}.issuperset(map(type, parts)):
+        raise TypeError(f"a partition is a JSON array of integers, got {parts!r}")
+    return check_partition(parts)
+
 
 def _descending(p: Partition) -> tuple[int, ...]:
     """Heap key that pops partitions of one size in decreasing
@@ -432,18 +456,20 @@ class CanonicalBasisOracle:
             self._memo[mu] = vec
         self.levels_loaded += 1
 
-    def save_level(self, n: int) -> str:
-        """Compute every e-regular element of size n and write the level file."""
+    def level(self, n: int) -> dict[Partition, FockVector]:
+        """Every e-regular element of size n, by label."""
         if n < 0:
             raise ValueError(f"cache level size must be non-negative, got {n}")
+        with self._lock:
+            return {
+                mu: self.element(mu).vector for mu in partitions_of(n) if is_e_regular(mu, self.e)
+            }
+
+    def save_level(self, n: int) -> str:
+        """Compute every e-regular element of size n and write the level file."""
         if self._cache is None:
             raise ValueError("oracle has no cache directory")
-        with self._lock:
-            for mu in partitions_of(n):
-                if is_e_regular(mu, self.e):
-                    self.element(mu)
-            entries = {mu: vec for mu, vec in self._memo.items() if sum(mu) == n}
-            return self._cache.store(self.e, n, entries)
+        return self._cache.store(self.e, n, self.level(n))
 
 
 # The layout of a cache level file; a level written in another format is
@@ -452,7 +478,8 @@ CACHE_FORMAT = 1
 
 
 class OracleCache:
-    """One JSON-lines file per (e, n) with a checksummed header.
+    """One JSON-lines file per (e, n) with a checksummed header, then one
+    line per element: its ``CanonicalBasisElement.to_json`` record.
 
     Writes are atomic (temp file + rename); loads verify the payload
     checksum and the header's ``format`` and raise CacheError on any
@@ -468,16 +495,10 @@ class OracleCache:
 
     def store(self, e: int, n: int, entries: Mapping[Partition, FockVector]) -> str:
         os.makedirs(self.directory, exist_ok=True)
-        lines = []
-        for mu in sorted(entries):
-            record = {
-                "mu": list(mu),
-                "terms": [
-                    {"lambda": list(p), "poly": c.to_json()}
-                    for p, c in entries[mu].items()
-                ],
-            }
-            lines.append(json.dumps(record, sort_keys=True))
+        lines = [
+            json.dumps(CanonicalBasisElement(mu, entries[mu]).to_json(), sort_keys=True)
+            for mu in sorted(entries)
+        ]
         payload = "\n".join(lines)
         digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
         header = json.dumps(
@@ -517,22 +538,14 @@ class OracleCache:
             )
         if header.get("e") != e or header.get("n") != n:
             raise CacheError(f"{path}: header labels wrong level")
-        out: dict[Partition, FockVector] = {}
         lines = payload.split("\n") if payload else []
         if len(lines) != header.get("count"):
             raise CacheError(f"{path}: record count mismatch")
         try:
-            for line in lines:
-                record = json.loads(line)
-                mu = check_partition(record["mu"])
-                terms = {
-                    check_partition(t["lambda"]): LaurentPolynomial.from_json(t["poly"])
-                    for t in record["terms"]
-                }
-                out[mu] = FockVector(terms)
+            elements = [CanonicalBasisElement.from_json(json.loads(line)) for line in lines]
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise CacheError(f"{path}: malformed record") from exc
-        return out
+        return {g.mu: g.vector for g in elements}
 
     def discard(self, e: int, n: int) -> None:
         try:
@@ -566,19 +579,26 @@ def oracle_coefficient(
 
 
 def cache_roundtrip(directory: str | os.PathLike, e: int, n: int) -> dict:
-    """Compute one cache level, write it, and read it back.
-
-    The reloaded coefficients must be identical to the in-memory ones; any
-    checksum or decoding problem surfaces as CacheError rather than being
-    ignored.
-    """
-    oracle = CanonicalBasisOracle(e, cache_dir=directory)
-    path = oracle.save_level(n)
-    reloaded = OracleCache(directory).load(e, n)
-    expected = {mu: vec for mu, vec in oracle._memo.items() if sum(mu) == n}
-    if reloaded != expected:
+    """Compute one cache level without the cache, write it, and read it
+    back.  A level on disk that fails to load or differs from it is reported
+    (RuntimeWarning) and replaced; a reloaded level that differs raises
+    CacheError."""
+    entries = CanonicalBasisOracle(e).level(n)
+    cache = OracleCache(directory)
+    path = cache.path(e, n)
+    try:
+        found = cache.load(e, n)
+        stale = None if found == entries else f"{path}: level differs from the computed one"
+    except FileNotFoundError:
+        stale = None
+    except CacheError as exc:
+        stale = str(exc)
+    if stale:
+        warnings.warn(f"{stale}; rewriting it", RuntimeWarning, stacklevel=2)
+    cache.store(e, n, entries)
+    if cache.load(e, n) != entries:
         raise CacheError(f"{path}: reloaded level differs from computed level")
-    return {"written": path, "entries": len(reloaded), "roundtrip": "ok"}
+    return {"written": path, "entries": len(entries), "roundtrip": "ok"}
 
 
 class SingularPivotError(ValueError):

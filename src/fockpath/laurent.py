@@ -84,7 +84,11 @@ class LaurentPolynomial:
         return self._coeffs == other._coeffs
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
+        # a constant equals its int, so it hashes like one (ZERO like 0)
+        coeffs = self._coeffs
+        if not coeffs or (len(coeffs) == 1 and 0 in coeffs):
+            return hash(coeffs.get(0, 0))
+        return hash(frozenset(coeffs.items()))
 
     # -- ring operations ---------------------------------------------
 
@@ -170,7 +174,17 @@ class LaurentPolynomial:
 
     @classmethod
     def from_json(cls, data: Mapping[str, int]) -> "LaurentPolynomial":
-        return cls({int(e): int(c) for e, c in data.items()})
+        """The inverse of to_json: keys in str(int) form, int values.  Anything
+        else, such as a key "02" or a coefficient 1.5 or true, raises."""
+        if not isinstance(data, dict):
+            raise TypeError(f"a polynomial is a JSON object, got {data!r}")
+        coeffs = {}
+        for key, c in data.items():
+            e = int(key)
+            if str(e) != key or type(c) is not int:
+                raise ValueError(f"bad term {key!r}: {c!r}; want a str(int) key, an int value")
+            coeffs[e] = c
+        return _nonzero(coeffs)
 
     def __str__(self) -> str:
         if not self._coeffs:

@@ -109,6 +109,7 @@ def run_formula_sweep(cfg: FormulaSweepConfig) -> SweepReport:
     report = SweepReport(kind="formula")
     nonzero = 0
     oracles = {e: get_oracle(e, cfg.cache_dir) for e, _ in cfg.budgets}
+    before = {e: oracle.stats() for e, oracle in oracles.items()}
     for e, lam in _labels(cfg.budgets):
         for r in range(e):
             for a, b in column_sets(sign_sequence_of(lam, e, r), 0):
@@ -124,7 +125,7 @@ def run_formula_sweep(cfg: FormulaSweepConfig) -> SweepReport:
                     nonzero += 1
                 _check_shape(report, move, formula, collections)
     report.notes["nonzero"] = nonzero
-    report.notes["oracle"] = _oracle_stats(oracles)
+    report.notes["oracle"] = _oracle_stats(oracles, before)
     return report
 
 
@@ -153,9 +154,14 @@ def _where(lam, e: int, r: int, a=None, b=None) -> dict:
     return where
 
 
-def _oracle_stats(oracles: dict) -> dict:
-    """Each modulus's oracle counters, keyed by e as JSON keys are."""
-    return {str(e): oracle.stats() for e, oracle in oracles.items()}
+def _oracle_stats(oracles: dict, before: dict) -> dict:
+    """Each modulus's oracle counters over one sweep, keyed by e as JSON keys
+    are: the memo size at its end and every other counter's increase since
+    before, the stats at its start (the sweeps share oracles)."""
+    return {
+        str(e): {k: v if k == "memo_size" else v - before[e][k] for k, v in oracle.stats().items()}
+        for e, oracle in oracles.items()
+    }
 
 
 def _check_shape(
@@ -222,6 +228,7 @@ def run_branching_sweep(cfg: BranchingSweepConfig) -> SweepReport:
     report = SweepReport(kind="branching")
     blocked = 0
     oracles = {e: get_oracle(e, cfg.cache_dir) for e, _ in cfg.budgets}
+    before = {e: oracle.stats() for e, oracle in oracles.items()}
     for e, lam in _labels(cfg.budgets):
         g = oracles[e].element(lam).vector
         for r in range(e):
@@ -238,7 +245,7 @@ def run_branching_sweep(cfg: BranchingSweepConfig) -> SweepReport:
                     report.fail(**_where(lam, e, r, a, b), formula=str(formula),
                                 extracted=str(extracted))
     report.notes["blocked"] = blocked
-    report.notes["oracle"] = _oracle_stats(oracles)
+    report.notes["oracle"] = _oracle_stats(oracles, before)
     return report
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import shlex
@@ -124,9 +125,9 @@ def test_oracle_cache_roundtrip(capsys, tmp_path):
     assert status["roundtrip"] == "ok"
     # corrupt one byte: the corrupt file is rejected and rebuilt on demand
     path = status["written"]
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(Path(path).read_bytes())
     data[len(data) // 2] ^= 0xFF
-    open(path, "wb").write(bytes(data))
+    Path(path).write_bytes(bytes(data))
     with pytest.warns(RuntimeWarning, match="canonical_e2_n5.jsonl"):
         code, out, _ = run(capsys, "oracle", "--e", "2", "--n", "5", "--cache", cache, "--json")
     assert code == 0
@@ -138,6 +139,45 @@ def test_oracle_rejects_row_label_of_another_size(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "size mismatch" in err
+
+
+def _plant_in_g31(directory, old, new):
+    """Replace old by new in G(3,1), the first record of the e = 2, n = 4
+    level, and write the payload's new sha256 into the header, as a foreign
+    writer would."""
+    path = Path(directory) / "canonical_e2_n4.jsonl"
+    head, payload = path.read_text(encoding="utf-8").split("\n", 1)
+    first, rest = payload.split("\n", 1)
+    payload = first.replace(old, new, 1) + "\n" + rest
+    header = json.loads(head)
+    header["sha256"] = hashlib.sha256(payload.rstrip("\n").encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(header) + "\n" + payload, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("new, argv, want", [
+    ("[1]", ("--mu", "3,1"), "2,1,1: v^2\n2,2: v\n3,1: 1\n"),
+    ('{"2": 1.5}', ("--mu", "3,1", "--lam", "2,1,1"), "d[2,1,1, 3,1](v) = v^2\n"),
+])
+def test_oracle_discards_a_cached_record_with_a_non_integer(capsys, tmp_path, new, argv, want):
+    cache = str(tmp_path / "d")
+    assert run(capsys, "oracle", "--e", "2", "--n", "4", "--cache", cache)[0] == 0
+    _plant_in_g31(cache, '{"2": 1}', new)
+    with pytest.warns(RuntimeWarning, match="canonical_e2_n4.jsonl: malformed record"):
+        code, out, err = run(capsys, "oracle", "--e", "2", *argv, "--cache", cache)
+    assert (code, out, err) == (0, want, "")
+
+
+def test_oracle_n_writes_the_computed_level_over_a_stale_one(capsys, tmp_path):
+    cache = str(tmp_path / "d")
+    assert run(capsys, "oracle", "--e", "2", "--n", "4", "--cache", cache)[0] == 0
+    computed = Path(cache, "canonical_e2_n4.jsonl").read_bytes()
+    # v^3 keeps every canonical-basis invariant, but G(3,1) holds v^2 there
+    path = _plant_in_g31(cache, '{"2": 1}', '{"3": 1}')
+    with pytest.warns(RuntimeWarning, match="canonical_e2_n4.jsonl: level differs"):
+        code, out, _ = run(capsys, "oracle", "--e", "2", "--n", "4", "--cache", cache)
+    assert code == 0 and out.startswith("wrote 2 entries")
+    assert path.read_bytes() == computed
 
 
 def test_oracle_rejects_negative_cache_level(capsys, tmp_path):
@@ -378,6 +418,22 @@ def test_verify_reports_oracle_stats(capsys, kind):
         "cache_discards",
     }
     assert stats["3"]["memo_size"] > 1
+
+
+def test_verify_reports_the_oracle_work_of_its_own_sweep(capsys, monkeypatch):
+    from fockpath import fockspace
+
+    monkeypatch.setattr(fockspace, "_oracles", {})  # a fresh process's oracles
+    stats = []
+    for kind in ("formula", "branching", "formula"):
+        code, out, _ = run(capsys, "verify", kind, "--e", "2", "--max-n", "8", "--json")
+        assert code == 0
+        stats.append(json.loads(out)["notes"]["oracle"]["2"])
+    first, _, again = stats
+    assert first["computed"] > 0 and first["memo_hits"] > 0
+    # the oracle is warm: the same sweep computes and loads nothing
+    assert again["computed"] == again["levels_missing"] == 0
+    assert again["memo_size"] == fockspace.get_oracle(2).stats()["memo_size"]
 
 
 def test_verify_reports_its_wall_time(capsys):

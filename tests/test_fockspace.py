@@ -11,6 +11,7 @@ import pytest
 from fockpath.fockspace import (
     CACHE_FORMAT,
     CacheError,
+    CanonicalBasisElement,
     CanonicalBasisOracle,
     ERegularError,
     FockVector,
@@ -288,7 +289,8 @@ def test_cache_round_trip(tmp_path):
 def test_cache_detects_corruption(tmp_path):
     oracle = CanonicalBasisOracle(3, cache_dir=tmp_path)
     path = oracle.save_level(4)
-    raw = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     broken = raw[:-5] + b"9" + raw[-4:]
     with open(path, "wb") as fh:
         fh.write(broken)
@@ -303,7 +305,8 @@ def test_cache_detects_corruption(tmp_path):
 
 def test_corrupt_cache_level_is_reported_and_rebuilt(tmp_path):
     path = CanonicalBasisOracle(2, cache_dir=tmp_path).save_level(5)
-    data = bytearray(open(path, "rb").read())
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
     data[len(data) // 2] ^= 0xFF
     with open(path, "wb") as fh:
         fh.write(bytes(data))
@@ -321,7 +324,8 @@ def test_corrupt_cache_level_is_reported_and_rebuilt(tmp_path):
 
 def _rewrite_header(path, **changes):
     """Rewrite a level file's header; the payload and its checksum stay."""
-    head, _, payload = open(path, encoding="utf-8").read().partition("\n")
+    with open(path, encoding="utf-8") as fh:
+        head, _, payload = fh.read().partition("\n")
     header = json.loads(head)
     for key, value in changes.items():
         if value is None:
@@ -515,3 +519,63 @@ def test_cached_record_of_another_level_is_discarded_and_rebuilt(tmp_path, plant
     oracle.save_level(3)
     fresh.save_level(3)
     assert cache.load(2, 3) == OracleCache(tmp_path / "fresh").load(2, 3)
+
+
+def _rewrite_first_record(path, old, new):
+    """Replace old by new in the first record of a level file, as raw text,
+    and write the payload's new sha256 into the header, as a foreign writer
+    would."""
+    with open(path, encoding="utf-8") as fh:
+        head, _, payload = fh.read().partition("\n")
+    first, _, rest = payload.partition("\n")
+    assert old in first
+    payload = first.replace(old, new) + "\n" + rest
+    header = json.loads(head)
+    header["sha256"] = hashlib.sha256(payload.rstrip("\n").encode("utf-8")).hexdigest()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(header) + "\n" + payload)
+
+
+@pytest.mark.parametrize("old, new", [
+    ('{"2": 1}', "[1]"),
+    ('{"2": 1}', '{"2": 1.5}'),
+    ('{"2": 1}', '{"2": 1.0}'),
+    ('{"2": 1}', '{"2": true}'),
+    ('{"2": 1}', '{"2": "1"}'),
+    ('{"2": 1}', '{"02": 1}'),
+    ('{"2": 1}', '{"2.0": 1}'),
+    ('{"2": 1}', '{" 2": 1}'),
+    ('"mu": [3, 1]', '"mu": [3, true]'),
+    ('"mu": [3, 1]', '"mu": [3.0, 1]'),
+    ('"lambda": [2, 1, 1]', '"lambda": [2, 1, "1"]'),
+    ('"terms": [', '"terms": {"x": 1}, "": ['),
+    # a repeated lambda whose zero poly would erase the v(2,2) term
+    ('{"0": 1}}', '{"0": 1}}, {"lambda": [2, 2], "poly": {}}'),
+])
+def test_cached_record_not_in_the_record_form_is_discarded_and_rebuilt(tmp_path, old, new):
+    # G(3,1) at e = 2 is (3,1) + v(2,2) + v^2(2,1,1), the first record of its level
+    path = CanonicalBasisOracle(2, cache_dir=tmp_path).save_level(4)
+    _rewrite_first_record(path, old, new)
+    with pytest.raises(CacheError, match="malformed record"):
+        OracleCache(tmp_path).load(2, 4)
+    oracle = CanonicalBasisOracle(2, cache_dir=tmp_path)
+    with pytest.warns(RuntimeWarning, match="canonical_e2_n4.jsonl: malformed record"):
+        got = oracle.coefficient((2, 1, 1), (3, 1))
+    assert oracle.stats()["cache_discards"] == 1
+    fresh = CanonicalBasisOracle(2)
+    assert got == fresh.coefficient((2, 1, 1), (3, 1)) == V * V
+    for mu in [(3, 1), (4,)]:
+        assert oracle.element(mu).vector == fresh.element(mu).vector
+
+
+def test_element_json_round_trips_and_matches_the_cache_lines(tmp_path):
+    oracle = CanonicalBasisOracle(3)
+    path = CanonicalBasisOracle(3, cache_dir=tmp_path).save_level(7)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()[1:]
+    elements = [
+        oracle.element(mu) for mu in sorted(partitions_of(7)) if is_e_regular(mu, 3)
+    ]
+    assert lines == [json.dumps(g.to_json(), sort_keys=True) for g in elements]
+    for g in elements:
+        assert CanonicalBasisElement.from_json(json.loads(json.dumps(g.to_json()))) == g

@@ -72,6 +72,22 @@ def test_text_and_json_round_trip():
     assert str(L({-2: -1, 1: 1})) == "-v^-2 + v"
 
 
+def test_a_constant_hashes_like_the_int_it_equals():
+    for c in range(-2, 3):
+        assert L({0: c}) == c and hash(L({0: c})) == hash(c)
+    assert ONE in {1}
+    assert {0: "x"}.get(ZERO) == "x"
+    assert hash(V) == hash(frozenset({(1, 1)}))
+
+
+@pytest.mark.parametrize("data", [
+    [1], {"2": 1.5}, {"2": 1.0}, {"2": True}, {"2": "1"}, {"02": 1}, {"+2": 1}, {"x": 1},
+])
+def test_from_json_reads_only_integers(data):
+    with pytest.raises((TypeError, ValueError)):
+        LaurentPolynomial.from_json(data)
+
+
 @given(laurents)
 def test_bar_is_an_involution(p):
     assert p.bar().bar() == p

@@ -97,7 +97,9 @@ def test_run_acceptance_runs_both_tiers_of_the_table_in_order(acceptance, capsys
 
     calls.clear()
     assert script.main(["--deep", "--json"]) == 0
-    assert [r["kind"] for r in json.loads(capsys.readouterr().out)] == kinds * 2 + ["map-digest"]
+    entries = json.loads(capsys.readouterr().out)
+    assert [r["kind"] for r in entries] == kinds * 2 + ["map-digest"]
+    assert [r["name"] for r in entries] == kinds + [f"{k}-deep" for k in kinds] + ["map-digest"]
     deep_runs = [(kind, sweeps.SWEEPS[kind].deep) for kind in kinds]
     assert calls == acceptance_runs + deep_runs + [("map-digest", None)]
 
