@@ -38,7 +38,7 @@ _SIGN_SEQUENCE_CACHE = 256
 
 @lru_cache(maxsize=_SIGN_SEQUENCE_CACHE)
 def _sign_sequence_of(lam: Partition, e: int, r: int) -> SignSequence:
-    removable, indent = boundary_nodes(check_partition(lam), check_e(e), r)
+    removable, indent = boundary_nodes(check_partition(lam), e, r)
     return SignSequence(
         frozenset(n[1] for n in removable), frozenset(n[1] for n in indent)
     )
@@ -63,15 +63,7 @@ class MoveSpec:
         object.__setattr__(self, "lam", check_partition(self.lam))
         object.__setattr__(self, "added", frozenset(self.added))
         object.__setattr__(self, "removed", frozenset(self.removed))
-        t = self.sign_sequence
-        if not (self.added - self.removed) <= t.minus:
-            raise ValueError(
-                f"added columns {sorted(self.added - self.removed - t.minus)} are not indent columns"
-            )
-        if not (self.removed - self.added) <= t.plus:
-            raise ValueError(
-                f"removed columns {sorted(self.removed - self.added - t.plus)} are not removable columns"
-            )
+        _check_columns(self.sign_sequence, self.added, self.removed)
 
     @cached_property
     def sign_sequence(self) -> SignSequence:
@@ -86,13 +78,27 @@ class MoveSpec:
         return self.added == self.removed
 
 
+def _check_columns(t: SignSequence, added: frozenset[int], removed: frozenset[int]) -> None:
+    """The columns a move adds are indent columns of its sign sequence t (its
+    minus positions), and those it removes removable ones (plus positions)."""
+    if not (added - removed) <= t.minus:
+        raise ValueError(f"added columns {sorted(added - removed - t.minus)} are not indent columns")
+    if not (removed - added) <= t.plus:
+        raise ValueError(
+            f"removed columns {sorted(removed - added - t.plus)} are not removable columns"
+        )
+
+
 def apply_move(
     lam: Partition, e: int, r: int, added, removed
 ) -> Partition:
     """lam with the indent r-nodes in the added columns put in and the
-    removable r-nodes in the removed columns taken out."""
+    removable r-nodes in the removed columns taken out; ValueError, as for
+    MoveSpec, when those columns are not indent or not removable."""
     added = frozenset(added)
     removed = frozenset(removed)
+    # the memo itself: sign_sequence_of's calls per check are a benchmark metric
+    _check_columns(_sign_sequence_of(tuple(lam), e, r), added, removed)
     removable, indent = boundary_nodes(lam, e, r)
     add_nodes = {n[1]: n for n in indent}
     rem_nodes = {n[1]: n for n in removable}
@@ -200,10 +206,7 @@ def consistency_sums(
     monomials.  The two generating functions agree (that identity is what
     the norm-preserving bijection certifies), including for e-singular lam.
     """
-    t = sign_sequence_of(lam, e, r)
-    a = frozenset(added)
-    b = frozenset(removed)
-    left, right = _bijection.index_set_norms(t, a, b)
+    left, right = _bijection.index_set_norms(sign_sequence_of(lam, e, r), added, removed)
     return LaurentPolynomial(left), LaurentPolynomial(right)
 
 
@@ -223,7 +226,7 @@ def admissible_moves(
         if max_size is not None and len(a) > max_size:
             break
         if bijective(a, b):
-            out.append(MoveSpec(lam=lam, e=e, r=r, added=frozenset(a), removed=frozenset(b)))
+            out.append(MoveSpec(lam, e, r, a, b))
     return out
 
 

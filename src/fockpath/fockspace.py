@@ -99,7 +99,7 @@ class FockVector:
 
     @classmethod
     def basis(cls, p: Partition) -> "FockVector":
-        return cls({p: LaurentPolynomial.one()})
+        return cls({check_partition(p): LaurentPolynomial.one()})
 
     @classmethod
     def zero(cls) -> "FockVector":

@@ -46,6 +46,13 @@ def check_e(e: int) -> int:
     return e
 
 
+def check_residue(e: int, r: int) -> None:
+    """Validate the modulus e, as check_e does, then a residue r modulo it."""
+    if not (e >= 2 and 0 <= r < e):  # one test on the valid input
+        check_e(e)
+        raise ValueError(f"residue {r} out of range for e={e}")
+
+
 def parse_partition(text: str) -> Partition:
     """Parse comma-separated parts; '' and '0' denote the empty partition."""
     text = text.strip()
@@ -111,8 +118,7 @@ def boundary_nodes(p: Partition, e: int, r: int) -> tuple[list[Node], list[Node]
     read from the bottom up, where columns only grow, so both lists come
     out sorted.
     """
-    if not 0 <= r < e:
-        raise ValueError(f"residue {r} out of range for e={e}")
+    check_residue(e, r)
     removable: list[Node] = []
     indent: list[Node] = []
     below = 0  # the row under row i; the row under the last one is empty
@@ -257,7 +263,7 @@ class ResidueProfile:
 def residue_profile(p: Partition, e: int, r: int, t: int) -> ResidueProfile:
     if t < len(p):
         raise ValueError(f"profile size {t} is below the number of parts {len(p)}")
-    r = r % e
+    check_residue(e, r)
     beads = beta_set(p, t)
     top = (max(beads) if beads else 0) + 2
     vals = {}
@@ -300,10 +306,6 @@ _PARTITION_LEVELS = 64
 
 
 @lru_cache(maxsize=_PARTITION_LEVELS)
-def _partitions_cached(n: int) -> tuple[Partition, ...]:
-    return tuple(partitions(n))
-
-
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """Cached tuple of all partitions of n (sweeps iterate these a lot)."""
-    return _partitions_cached(n)
+    return tuple(partitions(n))

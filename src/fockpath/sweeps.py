@@ -4,7 +4,8 @@ Each sweep walks a budgeted family of instances, records every failure with
 enough data to reproduce it, and returns a JSON-able report.  All sweeps
 are deterministic for a fixed configuration (the random sampler takes an
 explicit seed).  The formula, branching and consistency sweeps share one
-walk over (e, lam) budgets, the branching and consistency sweeps and the
+walk over (e, lam) budgets (the two oracle-backed ones also one config and
+the oracles along it), the branching and consistency sweeps and the
 exhaustive instances one filter of onto column sets, and every failure on a
 partition is placed by the same fields: lam, e, r, then A and B.
 
@@ -44,10 +45,9 @@ from .fockspace import (
     get_oracle,
     is_e_regular,
 )
-from .latticepath import WellNestedCollection
 from .laurent import ZERO, LaurentPolynomial
 from .partitions import Partition, boundary_nodes, check_e, partitions_of
-from .signseq import SignSequence, onto
+from .signseq import SignSequence, bracket_pairs, onto
 
 
 @dataclass
@@ -100,32 +100,30 @@ class FormulaSweepConfig:
     cache_dir: str | None = None
 
 
+# The branching sweep walks the same budgets against the same oracles.
+BranchingSweepConfig = FormulaSweepConfig
+
 
 @_timed
 def run_formula_sweep(cfg: FormulaSweepConfig) -> SweepReport:
     """Every e-regular partition within budget, every residue, every pair of
     same-size column sets: the closed formula must equal the oracle
     coefficient exactly (0 when the matching is imperfect)."""
-    report = SweepReport(kind="formula")
-    nonzero = 0
-    oracles = {e: get_oracle(e, cfg.cache_dir) for e, _ in cfg.budgets}
-    before = {e: oracle.stats() for e, oracle in oracles.items()}
-    for e, lam in _labels(cfg.budgets):
+    report = SweepReport(kind="formula", notes={"nonzero": 0})
+    for e, lam, oracle in _oracle_labels(cfg, report):
         for r in range(e):
             for a, b in column_sets(sign_sequence_of(lam, e, r), 0):
-                move = MoveSpec(lam, e, r, frozenset(a), frozenset(b))
+                move = MoveSpec(lam, e, r, a, b)
                 collections = decomposition_paths(move)
                 formula = norm_polynomial(collections)
-                d = oracles[e].coefficient(move.target, lam)
+                d = oracle.coefficient(move.target, lam)
                 report.checked += 1
                 if formula != d:
                     report.fail(**_where(lam, e, r, a, b), formula=str(formula), oracle=str(d))
                     continue
                 if formula:
-                    nonzero += 1
-                _check_shape(report, move, formula, collections)
-    report.notes["nonzero"] = nonzero
-    report.notes["oracle"] = _oracle_stats(oracles, before)
+                    report.notes["nonzero"] += 1
+                _check_shape(report, move, formula)
     return report
 
 
@@ -154,22 +152,22 @@ def _where(lam, e: int, r: int, a=None, b=None) -> dict:
     return where
 
 
-def _oracle_stats(oracles: dict, before: dict) -> dict:
-    """Each modulus's oracle counters over one sweep, keyed by e as JSON keys
-    are: the memo size at its end and every other counter's increase since
-    before, the stats at its start (the sweeps share oracles)."""
-    return {
+def _oracle_labels(cfg: FormulaSweepConfig, report: SweepReport) -> Iterator[tuple]:
+    """(e, lam, oracle) over _labels(cfg.budgets), every oracle made up front.
+    Then notes.oracle holds each one's counters over the walk, keyed by e as
+    JSON keys are: the memo size at its end and every other counter's
+    increase (the sweeps share oracles)."""
+    oracles = {e: get_oracle(e, cfg.cache_dir) for e, _ in cfg.budgets}
+    before = {e: oracle.stats() for e, oracle in oracles.items()}
+    for e, lam in _labels(cfg.budgets):
+        yield e, lam, oracles[e]
+    report.notes["oracle"] = {
         str(e): {k: v if k == "memo_size" else v - before[e][k] for k, v in oracle.stats().items()}
         for e, oracle in oracles.items()
     }
 
 
-def _check_shape(
-    report: SweepReport,
-    move: MoveSpec,
-    poly: LaurentPolynomial,
-    collections: tuple[WellNestedCollection, ...],
-) -> None:
+def _check_shape(report: SweepReport, move: MoveSpec, poly: LaurentPolynomial) -> None:
     effective = move.added - move.removed
     if move.is_identity:
         if poly != 1:
@@ -183,7 +181,11 @@ def _check_shape(
         return
     if poly.min_exponent < len(effective):
         report.fail(kind="low-degree", **where, poly=str(poly))
-    top = max(c.norm for c in collections)
+    # the norm of the all-generic collection, read off the sign sequence and
+    # not the enumeration: each pair's closer rank less its opener rank
+    rank = move.sign_sequence.ranks
+    pairs, _, _ = bracket_pairs(move.added, move.removed)
+    top = sum(rank[w] - rank[u] for u, w, _ in pairs if u != w)
     if poly.max_exponent != top or poly.coefficient(top) != 1:
         report.fail(kind="top-degree", **where, poly=str(poly))
     _check_first_row(report, move, poly)
@@ -212,12 +214,6 @@ def _check_first_row(report: SweepReport, move: MoveSpec, poly: LaurentPolynomia
 # -- branching cross-check ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BranchingSweepConfig:
-    budgets: tuple[tuple[int, int], ...] = ((2, 12), (3, 10), (4, 9))
-    cache_dir: str | None = None
-
-
 @_timed
 def run_branching_sweep(cfg: BranchingSweepConfig) -> SweepReport:
     """Expand f_r of each canonical element in canonical elements and compare
@@ -225,17 +221,14 @@ def run_branching_sweep(cfg: BranchingSweepConfig) -> SweepReport:
 
     Expansions that hit an e-singular pivot are counted as blocked and
     skipped (only regular targets are extractable)."""
-    report = SweepReport(kind="branching")
-    blocked = 0
-    oracles = {e: get_oracle(e, cfg.cache_dir) for e, _ in cfg.budgets}
-    before = {e: oracle.stats() for e, oracle in oracles.items()}
-    for e, lam in _labels(cfg.budgets):
-        g = oracles[e].element(lam).vector
+    report = SweepReport(kind="branching", notes={"blocked": 0})
+    for e, lam, oracle in _oracle_labels(cfg, report):
+        g = oracle.element(lam).vector
         for r in range(e):
             try:
-                coeffs = expand_in_canonical(apply_f(g, e, r), e, oracles[e])
+                coeffs = expand_in_canonical(apply_f(g, e, r), e, oracle)
             except SingularPivotError:
-                blocked += 1
+                report.notes["blocked"] += 1
                 continue
             for a, b in _induction_sets(sign_sequence_of(lam, e, r)):
                 formula = branching_coefficient(lam, e, r, a, b)
@@ -244,8 +237,6 @@ def run_branching_sweep(cfg: BranchingSweepConfig) -> SweepReport:
                 if formula != extracted:
                     report.fail(**_where(lam, e, r, a, b), formula=str(formula),
                                 extracted=str(extracted))
-    report.notes["blocked"] = blocked
-    report.notes["oracle"] = _oracle_stats(oracles, before)
     return report
 
 

@@ -249,3 +249,16 @@ def test_branching_rejects_an_instance_as_consistency_does():
                             if want:
                                 seen.update(x for x in reasons if x in want[1])
     assert seen == set(reasons)
+
+
+@pytest.mark.parametrize("added, removed, message", [
+    ({99}, set(), "added columns [99] are not indent columns"),
+    (set(), {99}, "removed columns [99] are not removable columns"),
+    ({3}, set(), "added columns [3] are not indent columns"),
+    (set(), {1}, "removed columns [1] are not removable columns"),
+])
+def test_apply_move_rejects_columns_as_move_spec_does(added, removed, message):
+    for call in (apply_move, MoveSpec):
+        with pytest.raises(ValueError) as info:
+            call((3, 1), 2, 0, added, removed)
+        assert str(info.value) == message

@@ -579,3 +579,11 @@ def test_element_json_round_trips_and_matches_the_cache_lines(tmp_path):
     assert lines == [json.dumps(g.to_json(), sort_keys=True) for g in elements]
     for g in elements:
         assert CanonicalBasisElement.from_json(json.loads(json.dumps(g.to_json()))) == g
+
+
+def test_apply_f_and_basis_check_their_input():
+    with pytest.raises(ValueError, match="^e must be at least 2$"):
+        apply_f(FockVector.basis((1,)), 1, 0)
+    with pytest.raises(ValueError, match=r"^parts must be weakly decreasing, got \(1, 2\)$"):
+        FockVector.basis((1, 2))
+    assert FockVector.basis([2, 1]) == FockVector.basis((2, 1))

@@ -7,6 +7,7 @@ from fockpath.partitions import (
     beta_set,
     boundary_nodes,
     check_partition,
+    check_residue,
     compare_classes,
     dominates,
     format_partition,
@@ -260,3 +261,18 @@ def test_check_partition_normalises_any_iterable_of_ints():
     assert check_partition(()) == ()
     with pytest.raises(ValueError):
         check_partition(["x"])
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (boundary_nodes, ((2, 1), 1, 0), "e must be at least 2"),
+    (boundary_nodes, ((2, 1), -2, 0), "e must be at least 2"),
+    (boundary_nodes, ((2, 1), 2, 2), "residue 2 out of range for e=2"),
+    (compare_classes, ((2, 1), (3,), 2, 5), "residue 5 out of range for e=2"),
+    (residue_profile, ((2, 1), 0, 0, 3), "e must be at least 2"),
+    (residue_profile, ((2, 1), 3, -1, 3), "residue -1 out of range for e=3"),
+    (check_residue, (1, 0), "e must be at least 2"),
+])
+def test_every_residue_is_checked_by_check_residue(call, args, message):
+    with pytest.raises(ValueError) as info:
+        call(*args)
+    assert str(info.value) == message

@@ -76,3 +76,35 @@ def test_planted_failures_keep_their_records(monkeypatch):
     assert (len(consistency.failures), consistency.checked) == (20, 260)
     records = json.dumps([formula.failures, branching.failures, consistency.failures])
     assert hashlib.sha256(records.encode()).hexdigest() == PLANTED_FAILURES_SHA256
+
+
+def test_top_degree_is_read_off_the_sign_sequence(monkeypatch):
+    """Drop the highest-norm collection of every move that has more than one,
+    and plant the oracle to agree with the formula: the top-degree check
+    still sees the loss, as it reads the top off the sign sequence."""
+    planted = ZERO
+    dropped = []
+
+    def decomposition_paths(move):
+        nonlocal planted
+        collections = decomposition_paths.real(move)
+        if len(collections) > 1:
+            top = max(collections, key=lambda c: c.norm)
+            collections = tuple(c for c in collections if c is not top)
+            dropped.append(move)
+        planted = sweeps.norm_polynomial(collections)
+        return collections
+
+    decomposition_paths.real = sweeps.decomposition_paths
+    monkeypatch.setattr(sweeps, "decomposition_paths", decomposition_paths)
+    monkeypatch.setattr(fockspace.CanonicalBasisOracle, "coefficient",
+                        lambda self, lam, mu: planted)
+
+    report = sweeps.run_formula_sweep(sweeps.FormulaSweepConfig(budgets=((2, 12), (3, 10))))
+
+    assert len(dropped) == 1
+    (move,) = dropped
+    placed = [(f.get("kind"), f["lam"], f["e"], f["r"], f["A"], f["B"]) for f in report.failures]
+    assert placed == [
+        ("top-degree", list(move.lam), move.e, move.r, sorted(move.added), sorted(move.removed))
+    ]
