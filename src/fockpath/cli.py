@@ -419,6 +419,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except RecursionError as exc:
+        # the oracle recurses once per ladder of its label: out of scope
+        print(f"error: input too large: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     except (UnitriangularityError, DivisibilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INVARIANT_ERROR

@@ -100,28 +100,18 @@ def apply_move(
     # the memo itself: sign_sequence_of's calls per check are a benchmark metric
     _check_columns(_sign_sequence_of(tuple(lam), e, r), added, removed)
     removable, indent = boundary_nodes(lam, e, r)
-    add_nodes = {n[1]: n for n in indent}
-    rem_nodes = {n[1]: n for n in removable}
-    rows = list(lam)
-    for col in added - removed:
-        i, _ = add_nodes[col]
-        if i == len(rows) + 1:
-            rows.append(1)
-        else:
-            rows[i - 1] += 1
-    for col in removed - added:
-        i, _ = rem_nodes[col]
-        rows[i - 1] -= 1
-    while rows and rows[-1] == 0:
-        rows.pop()
-    return check_partition(rows)
+    row_of = {j: i for i, j in removable + indent}
+    rows = [*lam, 0]  # an indent node in column 1 starts the empty row below
+    for col in added ^ removed:
+        rows[row_of[col] - 1] += 1 if col in added else -1
+    return check_partition([row for row in rows if row])
 
 
 def detect_move(lam: Partition, nu: Partition, e: int) -> MoveSpec | None:
     """Recover the (r, added, removed) move carrying lam to nu, or None.
 
-    Succeeds when the diagram difference consists of indent nodes of lam
-    (gained) and removable nodes of lam (lost), all of one residue.
+    Succeeds exactly when the cells of the diagram difference share one
+    residue r; then nu gains indent r-nodes of lam and loses removable ones.
     """
     check_e(e)
     lam = check_partition(lam)
@@ -136,16 +126,10 @@ def detect_move(lam: Partition, nu: Partition, e: int) -> MoveSpec | None:
     if len(residues) != 1:
         return None
     r = residues.pop()
-    removable, indent = boundary_nodes(lam, e, r)
-    if not gained <= set(indent) or not lost <= set(removable):
-        return None
-    return MoveSpec(
-        lam=lam,
-        e=e,
-        r=r,
-        added=frozenset(n[1] for n in gained),
-        removed=frozenset(n[1] for n in lost),
-    )
+    # Cells of one residue are never adjacent (e >= 2), so every gained cell
+    # is an indent r-node of lam, every lost cell a removable one, and no two
+    # share a column; MoveSpec still checks the columns.
+    return MoveSpec(lam, e, r, frozenset(n[1] for n in gained), frozenset(n[1] for n in lost))
 
 
 def decomposition_paths(move: MoveSpec) -> tuple[WellNestedCollection, ...]:

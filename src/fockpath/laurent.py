@@ -24,11 +24,15 @@ class LaurentPolynomial:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
+        """Terms from a map of int exponents to int coefficients, as in
+        from_json; anything else (1.5, "3", True) raises TypeError."""
         data = {}
         if coeffs:
             for exp, c in coeffs.items():
+                if type(exp) is not int or type(c) is not int:
+                    raise TypeError(f"bad term {exp!r}: {c!r}; want an int exponent and coefficient")
                 if c:
-                    data[int(exp)] = int(c)
+                    data[exp] = c
         object.__setattr__(self, "_coeffs", data)
 
     # -- constructors ------------------------------------------------

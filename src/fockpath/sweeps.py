@@ -46,7 +46,7 @@ from .fockspace import (
     is_e_regular,
 )
 from .laurent import ZERO, LaurentPolynomial
-from .partitions import Partition, boundary_nodes, check_e, partitions_of
+from .partitions import Partition, check_e, partitions_of
 from .signseq import SignSequence, bracket_pairs, onto
 
 
@@ -193,13 +193,9 @@ def _check_shape(report: SweepReport, move: MoveSpec, poly: LaurentPolynomial) -
 
 def _check_first_row(report: SweepReport, move: MoveSpec, poly: LaurentPolynomial) -> None:
     """Moves touching no first-row node give the same polynomial after the
-    first row is deleted (the residue shifts by one, columns stay put)."""
-    if not move.lam:
-        return
-    removable, indent = boundary_nodes(move.lam, move.e, move.r)
-    rows = {n[1]: n[0] for n in removable + indent}
-    touched = move.added ^ move.removed
-    if any(rows[c] == 1 for c in touched):
+    first row is deleted (the residue shifts by one, columns stay put).  A
+    move changes a row's length exactly when it moves a node in that row."""
+    if move.target[:1] != move.lam[:1]:
         return
     trimmed = MoveSpec(
         delete_first_row(move.lam), move.e, (move.r + 1) % move.e,
@@ -219,16 +215,19 @@ def run_branching_sweep(cfg: BranchingSweepConfig) -> SweepReport:
     """Expand f_r of each canonical element in canonical elements and compare
     every move-shaped coefficient against the branching formula.
 
-    Expansions that hit an e-singular pivot are counted as blocked and
-    skipped (only regular targets are extractable)."""
+    An expansion that hits an e-singular pivot is a failure, counted in
+    notes.blocked too: f_r G(mu) lies in the module generated by the vacuum,
+    whose canonical basis is the e-regular G(nu) (Lascoux, Leclerc and
+    Thibon, 1996), so only a wrong oracle gets there."""
     report = SweepReport(kind="branching", notes={"blocked": 0})
     for e, lam, oracle in _oracle_labels(cfg, report):
         g = oracle.element(lam).vector
         for r in range(e):
             try:
                 coeffs = expand_in_canonical(apply_f(g, e, r), e, oracle)
-            except SingularPivotError:
+            except SingularPivotError as exc:
                 report.notes["blocked"] += 1
+                report.fail(kind="singular-pivot", **_where(lam, e, r), message=str(exc))
                 continue
             for a, b in _induction_sets(sign_sequence_of(lam, e, r)):
                 formula = branching_coefficient(lam, e, r, a, b)

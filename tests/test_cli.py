@@ -69,11 +69,40 @@ def test_decomp_explicit_move(capsys):
     assert json.loads(out)["poly"] == {"1": 1}
 
 
+def test_decomp_show_paths(capsys):
+    code, out, _ = run(
+        capsys, "decomp", "--e", "2", "--col", "5,3,1", "--r", "1", "--add", "1,2",
+        "--remove", "1,3", "--show-paths",
+    )
+    assert code == 0
+    assert out == (
+        "d[5,2,2, 5,3,1](v) = v\n"
+        "well-nested collections: 1\n"
+        "-- collection 0 (norm 1)\n"
+        "window (1,1): self-paired\n"
+        "window (2,3):\n"
+        "(empty)\n"
+    )
+
+
+def test_decomp_rejects_a_row_label_of_another_size(capsys):
+    code, out, err = run(capsys, "decomp", "--e", "2", "--col", "2,1", "--row", "3,1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: |3,1| != |2,1|"
+
+
 def test_moves_listing(capsys):
     code, out, _ = run(capsys, "moves", "--e", "2", "--lam", "2", "--json")
     assert code == 0
     records = json.loads(out)
     assert any(rec["lambda"] == [1, 1] and rec["poly"] == {"1": 1} for rec in records)
+
+
+def test_moves_without_a_move(capsys):
+    code, out, _ = run(capsys, "moves", "--e", "2", "--lam", "2,1")
+    assert code == 0
+    assert out == "no moves\n"
 
 
 def test_paths_listing(capsys):
@@ -115,6 +144,23 @@ def test_oracle_rejects_singular(capsys):
     code, _, err = run(capsys, "oracle", "--e", "2", "--mu", "1,1")
     assert code == 2
     assert "singular" in err
+
+
+def test_oracle_element_json(capsys):
+    from fockpath.fockspace import canonical_basis
+
+    code, out, _ = run(capsys, "oracle", "--e", "2", "--mu", "3,1", "--json")
+    assert code == 0
+    assert out.strip() == json.dumps(canonical_basis((3, 1), 2).to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize("e, mu", [("2", "1200"), ("3", "700,700")])
+def test_oracle_label_too_deep_to_recurse_is_a_scope_error(capsys, e, mu):
+    # the oracle recurses once per ladder of the label
+    code, out, err = run(capsys, "oracle", "--e", e, "--mu", mu)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_oracle_cache_roundtrip(capsys, tmp_path):

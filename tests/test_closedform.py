@@ -18,7 +18,7 @@ from fockpath.closedform import (
 )
 from fockpath.fockspace import get_oracle, is_e_regular
 from fockpath.laurent import LaurentPolynomial, ONE, ZERO, quantum_integer
-from fockpath.partitions import partitions_of
+from fockpath.partitions import boundary_nodes, cells, partitions_of, residue
 from fockpath.signseq import SignSequence
 
 V = LaurentPolynomial.variable()
@@ -55,6 +55,37 @@ def test_apply_move_round_trips_detect():
                             assert found is not None
                             assert found.added == move.added - move.removed
                             assert found.removed == move.removed - move.added
+
+
+def test_detect_move_finds_exactly_the_single_residue_differences():
+    moves = 0
+    for e in (2, 3, 4):
+        for n in range(9):
+            labels = list(partitions_of(n))
+            for lam in labels:
+                for nu in labels:
+                    differing = set(cells(lam)) ^ set(cells(nu))
+                    move = detect_move(lam, nu, e)
+                    assert (move is not None) == (len({residue(c, e) for c in differing}) <= 1)
+                    if move is not None:
+                        assert move.target == nu
+                        moves += not move.is_identity
+    assert moves > 0
+
+
+def test_a_move_changes_the_first_row_exactly_when_it_moves_a_first_row_node():
+    seen = set()
+    for e in (2, 3):
+        for n in range(9):
+            for lam in partitions_of(n):
+                for r in range(e):
+                    removable, indent = boundary_nodes(lam, e, r)
+                    row_of = {j: i for i, j in removable + indent}
+                    for move in admissible_moves(lam, e, r):
+                        moved = any(row_of[c] == 1 for c in move.added ^ move.removed)
+                        assert (move.target[:1] != lam[:1]) == moved
+                        seen.add(moved)
+    assert seen == {False, True}
 
 
 def test_decomposition_examples():

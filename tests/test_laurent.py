@@ -132,3 +132,10 @@ def test_ring_results_hold_no_zero_coefficient(p, q):
     for result in results:
         assert 0 not in result._coeffs.values()
         assert all(type(e) is int and type(c) is int for e, c in result._coeffs.items())
+
+
+@pytest.mark.parametrize("coeffs", [{0: 1.5}, {0.5: 1}, {"3": 1}, {0: True}, {1.0: 0}])
+def test_constructor_takes_only_int_exponents_and_coefficients(coeffs):
+    # as from_json: nothing is truncated or parsed into an int
+    with pytest.raises(TypeError, match=r"^bad term .*; want an int exponent and coefficient$"):
+        LaurentPolynomial(coeffs)

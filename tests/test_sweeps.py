@@ -108,3 +108,32 @@ def test_top_degree_is_read_off_the_sign_sequence(monkeypatch):
     assert placed == [
         ("top-degree", list(move.lam), move.e, move.r, sorted(move.added), sorted(move.removed))
     ]
+
+
+
+def test_a_singular_pivot_is_a_branching_failure(monkeypatch):
+    """The branching sweep reports an expansion that needs an e-singular
+    element as a failure placed at its label and residue, and counts it as
+    blocked; the other labels and residues are still checked."""
+    cfg = sweeps.BranchingSweepConfig(budgets=((2, 5), (3, 5)))
+    clean = sweeps.run_branching_sweep(cfg)
+    bad = fockspace.apply_f(fockspace.get_oracle(3).element((2, 1)).vector, 3, 1)
+    skipped = sum(1 for _ in sweeps._induction_sets(sweeps.sign_sequence_of((2, 1), 3, 1)))
+
+    def expand_in_canonical(x, e, oracle):
+        if x == bad:
+            raise fockspace.SingularPivotError("expansion pivot (1, 1, 1) is 3-singular")
+        return expand_in_canonical.real(x, e, oracle)
+
+    expand_in_canonical.real = sweeps.expand_in_canonical
+    monkeypatch.setattr(sweeps, "expand_in_canonical", expand_in_canonical)
+    report = sweeps.run_branching_sweep(cfg)
+
+    assert clean.ok and clean.notes["blocked"] == 0
+    assert report.failures == [{
+        "kind": "singular-pivot", "lam": [2, 1], "e": 3, "r": 1,
+        "message": "expansion pivot (1, 1, 1) is 3-singular",
+    }]
+    assert report.notes["blocked"] == 1
+    assert not report.ok
+    assert report.checked == clean.checked - skipped
