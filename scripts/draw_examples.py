@@ -8,10 +8,10 @@ from fockpath.latticepath import latticed_paths, render_ascii, render_svg
 from fockpath.signseq import SignSequence
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--svg-out", help="write all five paths to one SVG file")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     nine = SignSequence(frozenset({2, 3, 5, 9}), frozenset({1, 4, 6, 7, 8}))
     paths = latticed_paths(nine)

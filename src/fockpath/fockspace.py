@@ -21,12 +21,9 @@ k-set of indent r-nodes.
 
 Besides the oracle's memo of G, one bounded memo (``functools.lru_cache``,
 ``_ADDITION_CACHE`` entries) keeps the per-partition terms of f_r^(k): the
-partitions lam + S and their exponents, keyed on (lam, e, r, k).  The
-closed-form layers keep bounded memos of their own: ``latticed_paths`` per
-window and its path tables per sign word, ``sign_sequence_of`` per
-(lam, e, r) and the bijection's verified rank-space maps per shape (64
-shapes).  Each returns an immutable value, and every runtime check runs as
-it did without the memo.
+partitions lam + S and their exponents, keyed on (lam, e, r, k).  It
+returns an immutable value, and every runtime check runs as it did without
+the memo.
 """
 
 from __future__ import annotations

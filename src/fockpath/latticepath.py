@@ -30,8 +30,14 @@ dynamic programme over the nesting forest, building nothing, and
 ``collection_norms`` is ``mask_norms`` behind the public argument check.
 ``masks_well_nested`` and ``is_valid_mask`` check rank masks, and the object
 checks ``is_well_nested`` and ``is_valid_path`` run them on masks read
-through ``SignSequence.ranks`` (``rank_entries``).  ``standing_pairs`` is
-the one down-closure rule, run by ``is_valid_mask`` and ``fockpath render``.
+through ``SignSequence.ranks`` (``rank_entries``).  ``masks_well_nested``
+is the reference height test: it walks the nesting forest once, taking
+the entries by opener, and compares each entry's heights (``path_profile``)
+with its innermost enclosing entry's only, as heights rise inwards along a
+chain of nested paths; entries that cross or share an end, which no
+collection has, raise ValueError.  ``standing_pairs`` is the one
+down-closure rule, run by ``is_valid_mask`` and ``fockpath render``.  Both
+renderers draw one height walk over a path's ``steps()`` (``_heights``).
 """
 
 from __future__ import annotations
@@ -86,8 +92,7 @@ class LatticedPath:
 
     def down_positions(self) -> frozenset[int]:
         """Positions still carrying a down-stroke (the flattening-free minuses)."""
-        flat_positions = {x for pair in self.flattened for x in pair}
-        return frozenset(self.window.minus - flat_positions)
+        return frozenset(p for p, kind in self.steps() if kind == DOWN)
 
     @classmethod
     def empty(cls) -> "LatticedPath":
@@ -270,17 +275,6 @@ def make_collection(
     return WellNestedCollection(base=base, entries=tuple(sorted(entries)))
 
 
-def nested_pair_relations(pairs: Iterable[Pair]) -> list[tuple[Pair, Pair]]:
-    """(outer, inner) for every strictly nested pair of genuine pairs."""
-    real = [p for p in pairs if p[0] != p[1]]
-    out = []
-    for outer in real:
-        for inner in real:
-            if outer[0] < inner[0] and inner[1] < outer[1]:
-                out.append((outer, inner))
-    return out
-
-
 def rank_entries(t: SignSequence, entries: Iterable[tuple[int, int, LatticedPath]]) -> tuple:
     """(opener, closer, path) entries as (opener rank, closer rank, mask) in
     t's ranks, the mask holding the ranks of the openers the path flattens."""
@@ -294,7 +288,8 @@ def _mask(rank, path: LatticedPath) -> int:
 
 def is_well_nested(t: SignSequence, entries: Iterable[tuple[int, int, LatticedPath]]) -> bool:
     """The nesting condition of a candidate collection against t: its genuine
-    entries, in ranks, are masks_well_nested (a self-pair need not be in t)."""
+    entries, in ranks, are masks_well_nested (a self-pair need not be in t).
+    ValueError when two genuine entries cross or share an end."""
     return masks_well_nested(t.word, rank_entries(t, [e for e in entries if e[0] != e[1]]))
 
 
@@ -304,22 +299,30 @@ def masks_well_nested(
     """The nesting condition on (opener rank, closer rank, mask) entries of a
     candidate collection in word: every inner path's heights are at least
     the outer path's on the grid points they share (ranks as in
-    path_profile)."""
-    masks = {(x, y): mask for x, y, mask in entries}
-    relations = nested_pair_relations(masks)
-    if not relations:
+    path_profile).  Genuine entries that cross or share an end, which no
+    collection has, raise ValueError; self-pairs are skipped.
+
+    One walk by opener compares each genuine entry's heights with its
+    innermost enclosing entry's only: heights rise inwards along a chain of
+    nested paths, so that covers every nested pair.
+    """
+    genuine = sorted(e for e in entries if e[0] != e[1])
+    if len(genuine) < 2:
         return True
     heights = list(accumulate((1 if up else -1 for up in word), initial=0))
-    profiles = {
-        (x, y): path_profile(word, heights, x, y, mask)
-        for (x, y), mask in masks.items() if x != y
-    }
-    for outer, inner in relations:
-        po, pi = profiles[outer], profiles[inner]
-        offset = inner[0] - outer[0]
-        if any(h < po[offset + g] for g, h in enumerate(pi)):
-            return False
-    return True
+    well = True
+    around: list[tuple[int, int, list[int]]] = []  # enclosing entries, outermost first
+    for x, y, mask in genuine:
+        while around and around[-1][1] < x:
+            around.pop()
+        if around and around[-1][1] <= y:
+            raise ValueError(f"entries {around[-1][:2]} and {(x, y)} cross or share an end")
+        profile = path_profile(word, heights, x, y, mask)
+        if well and around:
+            ox, _, outer = around[-1]
+            well = all(h >= outer[x - ox + g] for g, h in enumerate(profile))
+        around.append((x, y, profile))
+    return well
 
 
 def well_nested_collections(
@@ -525,18 +528,19 @@ def mask_norms(word: tuple[bool, ...], pairs: list[list[int]]) -> dict[int, int]
 # -- rendering ------------------------------------------------------------
 
 
+_RISE = {UP: 1, DOWN: -1, FLAT: 0}
+
+
+def _heights(path: LatticedPath) -> list[int]:
+    """The path's height at each grid point, 0 at its left end."""
+    return list(accumulate((_RISE[kind] for _, kind in path.steps()), initial=0))
+
+
 def _char_cells(path: LatticedPath) -> Iterator[tuple[int, int, str]]:
     """(column, band, char) triples; band b covers heights [b, b+1)."""
-    h = 0
-    for col, (p, kind) in enumerate(path.steps()):
-        if kind == UP:
-            yield col, h, "/"
-            h += 1
-        elif kind == DOWN:
-            h -= 1
-            yield col, h, "\\"
-        else:
-            yield col, h, "_"
+    heights = _heights(path)
+    for col, (h, next_h) in enumerate(zip(heights, heights[1:])):
+        yield col, min(h, next_h), "/" if next_h > h else "\\" if next_h < h else "_"
 
 
 def render_ascii(path: LatticedPath, overlay: bool = False) -> str:
@@ -561,28 +565,16 @@ def render_ascii(path: LatticedPath, overlay: bool = False) -> str:
 def render_svg(paths: Iterable[LatticedPath], scale: int = 20) -> str:
     """One polyline per path on a unit-square grid, origin at each path's
     left endpoint."""
-    polylines = []
-    max_x = 1
-    min_y = max_y = 0
-    for path in paths:
-        pts = [(0, 0)]
-        h = 0
-        for i, (_, kind) in enumerate(path.steps(), start=1):
-            if kind == UP:
-                h += 1
-            elif kind == DOWN:
-                h -= 1
-            pts.append((i, h))
-            min_y = min(min_y, h)
-            max_y = max(max_y, h)
-        max_x = max(max_x, len(pts) - 1)
-        polylines.append(pts)
+    polylines = [_heights(path) for path in paths]
+    every = [h for heights in polylines for h in heights] or [0]
+    min_y, max_y = min(every), max(every)
+    max_x = max([1, *(len(heights) - 1 for heights in polylines)])
     width = (max_x + 2) * scale
     height = (max_y - min_y + 2) * scale
     top = max_y + 1
     body = []
-    for pts in polylines:
-        coords = " ".join(f"{(x + 1) * scale},{(top - y) * scale}" for x, y in pts)
+    for heights in polylines:
+        coords = " ".join(f"{(x + 1) * scale},{(top - y) * scale}" for x, y in enumerate(heights))
         body.append(
             f'<polyline points="{coords}" fill="none" stroke="black" stroke-width="2"/>'
         )

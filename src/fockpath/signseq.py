@@ -215,19 +215,11 @@ class SignSequence:
             raise ValueError(f"{d} is not a minus position")
         return SignSequence(self.plus | {d}, self.minus - {d})
 
-    def restrict(
-        self,
-        lower: int | None = None,
-        upper: int | None = None,
-        include_upper: bool = False,
-    ) -> "SignSequence":
-        """Positions in (lower, upper), or (lower, upper] with include_upper."""
+    def restrict(self, lower: int | None = None, upper: int | None = None) -> "SignSequence":
+        """Positions in (lower, upper)."""
         positions = self.positions
         lo = 0 if lower is None else bisect_right(positions, lower)
-        if upper is None:
-            hi = len(positions)
-        else:
-            hi = (bisect_right if include_upper else bisect_left)(positions, upper)
+        hi = len(positions) if upper is None else bisect_left(positions, upper)
         window = positions[lo:hi]
         members = frozenset(window)
         out = SignSequence(members & self.plus, members - self.plus)
@@ -250,8 +242,8 @@ class SignSequence:
         return self.restrict(lower=a, upper=b)
 
     def half_open(self, a: int, b: int) -> "SignSequence":
-        """Positions in (a, b]."""
-        return self.restrict(lower=a, upper=b, include_upper=True)
+        """Positions in (a, b]: positions are ints, so (a, b + 1)."""
+        return self.restrict(lower=a, upper=b + 1)
 
 
 def valley_set(t: SignSequence) -> frozenset[int]:

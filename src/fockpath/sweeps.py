@@ -294,6 +294,9 @@ def run_bijection_sweep(cfg: BijectionSweepConfig) -> SweepReport:
     {"T": {...}, "A": [...], "B": [...], "ok": bool, "normsL": [...],
     "normsR": [...]}.
     """
+    if cfg.samples > 0 and cfg.sample_positions < 2:
+        # a sample needs two positions: fail before the exhaustive part runs
+        raise ValueError(f"sample_positions must be at least 2, got {cfg.sample_positions}")
     report = SweepReport(kind="bijection")
     stream = open(cfg.report_path, "w", encoding="utf-8") if cfg.report_path else None
     try:

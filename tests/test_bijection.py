@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import os
@@ -6,7 +7,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fockpath import bijection
+from fockpath import bijection, sweeps
 from fockpath.bijection import (
     ConstructionError,
     LeftElement,
@@ -20,7 +21,12 @@ from fockpath.bijection import (
 )
 from fockpath.latticepath import LatticedPath, WellNestedCollection, is_well_nested, masks_well_nested
 from fockpath.signseq import SignSequence, onto
-from fockpath.sweeps import iter_exhaustive_instances, sample_instances
+from fockpath.sweeps import (
+    BijectionSweepConfig,
+    iter_exhaustive_instances,
+    run_bijection_sweep,
+    sample_instances,
+)
 
 
 def test_single_pair_example():
@@ -105,6 +111,21 @@ def test_exhaustive_small_instances():
 def test_sampled_instances_match(seed):
     for t, a, b in sample_instances(3, 10, seed):
         assert norm_multisets_match(t, a, b)
+
+
+def test_the_bijection_sweep_rejects_samples_on_fewer_than_two_positions(monkeypatch):
+    checked = []
+
+    def index_set_norms(t, a, b):
+        checked.append((t, a, b))
+        return Counter(), Counter()
+
+    monkeypatch.setattr(sweeps, "index_set_norms", index_set_norms)
+    cfg = BijectionSweepConfig(max_positions=3, samples=2, sample_positions=1)
+    with pytest.raises(ValueError, match="^sample_positions must be at least 2, got 1$"):
+        run_bijection_sweep(cfg)
+    assert checked == []  # before the first instance, exhaustive ones included
+    assert run_bijection_sweep(dataclasses.replace(cfg, samples=0)).checked == len(checked) > 0
 
 
 def test_generating_functions_match_consistency_sums():

@@ -1,5 +1,5 @@
 import time
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +16,7 @@ from fockpath.latticepath import (
     make_collection,
     mask_collections,
     masks_well_nested,
+    path_profile,
     render_ascii,
     render_svg,
     well_nested_collections,
@@ -325,6 +326,78 @@ def test_mask_collections_match_the_height_filtered_product():
                         assert mask_collections(t.word, pairs) == expected, (t, selfs, a, b)
                         checked += 1
     assert checked == 10216
+
+
+def _every_pair_well_nested(word, entries):
+    """Reference: the height test on every strictly nested pair of genuine
+    entries, not only on each entry and its innermost enclosing one."""
+    heights = list(accumulate((1 if up else -1 for up in word), initial=0))
+    profiles = [(x, y, path_profile(word, heights, x, y, m)) for x, y, m in entries if x != y]
+    return all(
+        h >= outer[x - ox + g]
+        for ox, oy, outer in profiles
+        for x, y, inner in profiles if ox < x and y < oy
+        for g, h in enumerate(inner)
+    )
+
+
+def test_masks_well_nested_tests_every_nested_pair_on_up_to_9_positions():
+    # every candidate collection: one _path_table option per pair, for every
+    # perfect matching of minus to plus ranks of every word on up to 9 strokes
+    candidates = rejected = 0
+    for k in range(10):
+        for word in product((True, False), repeat=k):
+            minus = [i + 1 for i, up in enumerate(word) if not up]
+            plus = [i + 1 for i, up in enumerate(word) if up]
+            for r in range(1, min(len(minus), len(plus)) + 1):
+                for a, b in product(combinations(minus, r), combinations(plus, r)):
+                    pairs, lone_openers, lone_closers = bracket_pairs(set(a), set(b))
+                    if lone_openers or lone_closers:
+                        continue
+                    per_pair = [
+                        [(u, w, m << (u + 1)) for m, _ in _path_table(word[u:w - 1])]
+                        for u, w, _ in pairs
+                    ]
+                    for combo in product(*per_pair):
+                        well = masks_well_nested(word, combo)
+                        assert well == _every_pair_well_nested(word, combo), (word, combo)
+                        candidates += 1
+                        rejected += not well
+    assert (candidates, rejected) == (39565, 1653)
+
+
+# NESTED_T's word with two more down-strokes: (1, 6) with the generic path
+# and (2, 5) flattening (3, 4) is not well-nested, and (4, 8) crosses both
+LONG_WORD = (False, False, True, False, True, True, False, False)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [(1, 5, 0), (3, 7, 0)],
+        [(1, 5, 0), (1, 7, 0)],
+        [(1, 7, 0), (3, 7, 0)],
+        [(1, 5, 0), (5, 7, 0)],
+        [(1, 5, 0), (1, 5, 0)],
+        [(2, 5, 1 << 3), (1, 6, 0), (4, 8, 0)],
+    ],
+    ids=["crossing", "shared-opener", "shared-closer", "closer-opens", "repeated", "after-a-dip"],
+)
+def test_entries_that_cross_or_share_an_end_raise(entries):
+    with pytest.raises(ValueError, match="cross or share an end"):
+        masks_well_nested(LONG_WORD, entries)
+    # LONG_WORD on positions 1..8, with the generic path of each window
+    t = SignSequence(
+        frozenset(i + 1 for i, up in enumerate(LONG_WORD) if up),
+        frozenset(i + 1 for i, up in enumerate(LONG_WORD) if not up),
+    )
+    with pytest.raises(ValueError, match="cross or share an end"):
+        is_well_nested(t, [(x, y, LatticedPath(t.between(x, y))) for x, y, _ in entries])
+
+
+def test_self_pairs_are_skipped_even_on_a_genuine_end():
+    assert not masks_well_nested(LONG_WORD, [(1, 6, 0), (2, 5, 1 << 3)])
+    assert masks_well_nested(LONG_WORD, [(1, 6, 0), (1, 1, 0), (6, 6, 0), (2, 5, 0)])
 
 
 def test_path_table_of_a_1000_pair_chain_in_under_a_second():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -121,3 +122,20 @@ def test_run_acceptance_passes_cache_to_the_configs_with_a_cache_dir(acceptance,
         for _, cfg in calls[:-1]
     ]
     assert uncached == tiers
+
+
+# sha256 of the worked nine-step figure: the five paths' ASCII drawings on
+# stdout, and the SVG file holding all five
+DRAWINGS_SHA256 = "eba81ae1351a32a10acdcee59f9e0c603477070e5d469b1d4738eb8761cc58ef"
+SVG_SHA256 = "1849ad0fa5cec619ba2c442128d011d6d1a12a2ffed3e0bdbc0f2ba2f3a4071b"
+
+
+def test_draw_examples_draws_the_pinned_figures(capsys, tmp_path):
+    draw = _script("draw_examples")
+    assert draw.main([]) == 0
+    drawings = capsys.readouterr().out
+    assert hashlib.sha256(drawings.encode()).hexdigest() == DRAWINGS_SHA256
+    svg = tmp_path / "paths.svg"
+    assert draw.main(["--svg-out", str(svg)]) == 0
+    assert capsys.readouterr().out == drawings + f"wrote {svg}\n"
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == SVG_SHA256
