@@ -18,7 +18,11 @@ one plan, on ranks (mask_norms).
 
 The two norm multisets always agree; build_bijection produces an explicit
 norm-preserving bijection by recursion (strip a pair with empty plus
-interior, or split along the plus closest below a removed column).  Every
+interior, or split along the plus closest below a removed column) down to
+one added column with nothing removed.  There each left element has one of
+two images: its truncation when its column is an unpaired plus, else its
+extension to the first valley at or beyond its column (the added column's
+own element extends its empty path).  Every
 structural assumption of the construction is asserted at runtime, and any
 failure raises ConstructionError tagged with the corner that broke and
 reported against the shape whose step failed, where ``_build`` places it,
@@ -343,39 +347,17 @@ def _index_sets(word: tuple[bool, ...], a: frozenset[int], b: frozenset[int]) ->
 # -- base case: a single added column --------------------------------------
 
 
-def _descending_mask(word: tuple[bool, ...], lo: int, hi: int) -> int:
-    """Every matched pair of the window (lo, hi) flattened; no up-stroke may
-    survive."""
-    pairs, unmatched = window_pairs(word, lo, hi)
-    if unmatched:
-        raise ConstructionError(
-            "base-descending",
-            f"window ({lo},{hi}) keeps unmatched up-strokes at {sorted(unmatched)}",
-        )
-    return sum(1 << u for u in pairs)
-
-
 def _base_case(t: SignSequence, a0: int, lefts) -> dict:
+    """Each left element's image: its truncation when its column is an
+    unpaired plus, else its extension (a0's own element extends its empty
+    path, the self-pair)."""
     valleys = valley_set(t)
     unpaired = unpaired_plus(t)
     mapping = {}
     for el in lefts:
         c, entries, _ = el
-        if c == a0:
-            if a0 in valleys:
-                mapping[el] = _right(t, a0, a0, ((a0, a0, 0),))
-            else:
-                later = sorted(v for v in valleys if v > a0)
-                if not later:
-                    raise ConstructionError("base", "no valley beyond the added column")
-                d = later[0]
-                mapping[el] = _right(t, d, d, ((a0, d, _descending_mask(t.word, a0, d)),))
-            continue
-        gamma = _entry_by_opener(entries, a0)[2]
-        if c in unpaired:
-            mapping[el] = _truncation_image(t, a0, c, gamma, valleys)
-        else:
-            mapping[el] = _extension_image(t, a0, c, gamma, valleys)
+        image = _truncation_image if c in unpaired else _extension_image
+        mapping[el] = image(t, a0, c, _entry_by_opener(entries, a0)[2], valleys)
     return mapping
 
 
@@ -400,18 +382,16 @@ def _truncation_image(t, a0, c, gamma, valleys):
     kept = sum(1 << u for u, w in flattened.items() if w < d)
     if any(u < d <= w for u, w in flattened.items() if w >= d):
         raise ConstructionError("base-truncation", f"a flattened pair straddles {d}")
-    if d == a0:
-        if kept:
-            raise ConstructionError("base-truncation", "flattened pairs below the added column")
-    elif not is_valid_mask(t.word, a0, d, kept):
+    if not is_valid_mask(t.word, a0, d, kept):
         raise ConstructionError("base-truncation", "cut path is not a latticed path")
     return _right(t, d, c, ((a0, d, kept),))
 
 
 def _extension_image(t, a0, c, gamma, valleys):
-    """Paired completion column: keep its up-stroke and descend to the next
-    valley, flattening the whole stretch in between."""
-    later = sorted(v for v in valleys if v > c)
+    """Paired completion column or a0 itself: keep the column's stroke and
+    descend to the first valley at or beyond it, flattening the whole
+    stretch in between (a0 as its own valley keeps the self-pair)."""
+    later = sorted(v for v in valleys if v >= c)
     if not later:
         raise ConstructionError("base-extension", "no valley beyond the paired column")
     d = later[0]

@@ -110,6 +110,8 @@ def _move_record(move: MoveSpec):
 
 
 def cmd_decomp(args) -> int:
+    if args.json:
+        _reject(args, ("show_paths",), "decomp --json")
     col = _partition(args, "col")
     if args.row is not None:
         _reject(args, ("r", "add", "remove"), "decomp --row")
@@ -300,6 +302,8 @@ def _moduli(args) -> tuple[int, ...] | None:
 
 
 def cmd_render(args) -> int:
+    if args.format == "svg":
+        _reject(args, ("overlay",), "render --format svg")
     t = _sign_sequence(args)
     flattened = set()
     if args.flatten:
@@ -320,7 +324,7 @@ def cmd_render(args) -> int:
         raise CliError(f"--flatten: the pairs {listed} inside a flattened pair must be flattened too")
     path = LatticedPath(t, frozenset(flattened))
     if args.format == "ascii":
-        text = render_ascii(path, overlay=args.overlay)
+        text = render_ascii(path, overlay=bool(args.overlay))
     else:  # svg; argparse restricts the formats
         text = render_svg([path])
     if args.out:
@@ -357,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--add", help="comma-separated indent columns")
     p.add_argument("--remove", help="comma-separated removable columns")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--show-paths", action="store_true")
+    p.add_argument("--show-paths", action="store_true", default=None)
     p.set_defaults(func=cmd_decomp)
 
     p = sub.add_parser("moves", help="all covered moves from a partition")
@@ -402,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flatten", help="pairs to flatten, e.g. 3:4,2:7")
     p.add_argument("--format", choices=["ascii", "svg"], default="ascii")
     p.add_argument("--out")
-    p.add_argument("--overlay", action="store_true")
+    p.add_argument("--overlay", action="store_true", default=None)
     p.set_defaults(func=cmd_render)
 
     return parser

@@ -35,8 +35,9 @@ is the reference height test: it walks the nesting forest once, taking
 the entries by opener, and compares each entry's heights (``path_profile``)
 with its innermost enclosing entry's only, as heights rise inwards along a
 chain of nested paths; entries that cross or share an end, which no
-collection has, raise ValueError.  ``standing_pairs`` is the one
-down-closure rule, run by ``is_valid_mask`` and ``fockpath render``.  Both
+collection has, raise ValueError.  ``_path_table`` builds down-closed
+masks by the parent rule, and ``standing_pairs`` is the one check of that
+rule, run by ``is_valid_mask`` and ``fockpath render``.  Both
 renderers draw one height walk over a path's ``steps()`` (``_heights``).
 """
 
@@ -304,24 +305,32 @@ def masks_well_nested(
 
     One walk by opener compares each genuine entry's heights with its
     innermost enclosing entry's only: heights rise inwards along a chain of
-    nested paths, so that covers every nested pair.
+    nested paths, so that covers every nested pair.  An entry's heights are
+    worked out when a comparison first needs them, once.
     """
     genuine = sorted(e for e in entries if e[0] != e[1])
     if len(genuine) < 2:
         return True
     heights = list(accumulate((1 if up else -1 for up in word), initial=0))
+    profiles: dict[int, list[int]] = {}  # by opener; no two entries share one
+
+    def profile(x: int, y: int, mask: int) -> list[int]:
+        if x not in profiles:
+            profiles[x] = path_profile(word, heights, x, y, mask)
+        return profiles[x]
+
     well = True
-    around: list[tuple[int, int, list[int]]] = []  # enclosing entries, outermost first
+    around: list[tuple[int, int, int]] = []  # enclosing entries, outermost first
     for x, y, mask in genuine:
         while around and around[-1][1] < x:
             around.pop()
         if around and around[-1][1] <= y:
             raise ValueError(f"entries {around[-1][:2]} and {(x, y)} cross or share an end")
-        profile = path_profile(word, heights, x, y, mask)
         if well and around:
-            ox, _, outer = around[-1]
-            well = all(h >= outer[x - ox + g] for g, h in enumerate(profile))
-        around.append((x, y, profile))
+            ox = around[-1][0]
+            outer = profile(*around[-1])
+            well = all(h >= outer[x - ox + g] for g, h in enumerate(profile(x, y, mask)))
+        around.append((x, y, mask))
     return well
 
 
@@ -562,19 +571,23 @@ def render_ascii(path: LatticedPath, overlay: bool = False) -> str:
     return "\n".join(lines)
 
 
-def render_svg(paths: Iterable[LatticedPath], scale: int = 20) -> str:
+_SVG_SCALE = 20  # pixels per grid unit
+
+
+def render_svg(paths: Iterable[LatticedPath]) -> str:
     """One polyline per path on a unit-square grid, origin at each path's
     left endpoint."""
     polylines = [_heights(path) for path in paths]
     every = [h for heights in polylines for h in heights] or [0]
     min_y, max_y = min(every), max(every)
     max_x = max([1, *(len(heights) - 1 for heights in polylines)])
-    width = (max_x + 2) * scale
-    height = (max_y - min_y + 2) * scale
+    width = (max_x + 2) * _SVG_SCALE
+    height = (max_y - min_y + 2) * _SVG_SCALE
     top = max_y + 1
     body = []
     for heights in polylines:
-        coords = " ".join(f"{(x + 1) * scale},{(top - y) * scale}" for x, y in enumerate(heights))
+        coords = " ".join(f"{(x + 1) * _SVG_SCALE},{(top - y) * _SVG_SCALE}"
+                          for x, y in enumerate(heights))
         body.append(
             f'<polyline points="{coords}" fill="none" stroke="black" stroke-width="2"/>'
         )

@@ -349,3 +349,22 @@ def test_the_canonical_map_digest_ignores_set_build_order():
     assert script.map_digest(6) == (
         "9965cd869a6569223b252a0ff8378a3cfca36a5819708335b2ecd55fe5ff5f3c", 804
     )
+
+
+def test_the_base_case_map_is_pinned_on_every_single_column_instance_up_to_9_positions():
+    # every sign word on 1..k (k <= 9) with every minus position as the one
+    # added column and nothing removed: the base case alone, on 4,097 maps
+    canon = _acceptance_script().canon
+    h, maps = hashlib.sha256(), 0
+    for k in range(1, 10):
+        for word in range(2**k):
+            plus = frozenset(i + 1 for i in range(k) if word >> i & 1)
+            t = SignSequence(plus, frozenset(range(1, k + 1)) - plus)
+            for a0 in sorted(t.minus):
+                mapping = build_bijection(t, {a0}, set())
+                for key, image in sorted((canon(el), canon(img)) for el, img in mapping.items()):
+                    h.update((key + "->" + image).encode())
+                maps += 1
+    assert (h.hexdigest(), maps) == (
+        "0b66c28163f374586edfafaf5a551284a755708404393a0ab4da50d6e39d499d", 4097
+    )

@@ -609,3 +609,24 @@ def test_a_flag_the_command_would_ignore_is_a_usage_error(capsys, tmp_path, monk
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("decomp", "--e", "2", "--col", "2", "--row", "1,1", "--show-paths", "--json"),
+         "--show-paths does not apply to decomp --json"),
+        (("render", "--plus", "1,2", "--minus", "3,4", "--flatten", "2:3", "--format", "svg",
+          "--overlay"),
+         "--overlay does not apply to render --format svg"),
+    ],
+    ids=["decomp-show-paths", "render-overlay"],
+)
+def test_a_drawing_flag_the_output_format_would_ignore_is_a_usage_error(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_render_overlay_marks_the_generic_path_in_ascii(capsys):
+    code, out, _ = run(capsys, "render", "--plus", "1,2", "--minus", "3,4",
+                       "--flatten", "1:4,2:3", "--overlay")
+    assert code == 0 and "." in out
