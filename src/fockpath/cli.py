@@ -54,7 +54,15 @@ def _parse_positions(args, name: str) -> frozenset[int]:
     text = (getattr(args, name) or "").strip()
     if not text:
         return frozenset()
-    return frozenset(_integer(x, f"--{name}") for x in text.split(","))
+    return _once([_integer(x, f"--{name}") for x in text.split(",")], f"--{name}:")
+
+
+def _once(values: list, label: str, show=str) -> frozenset:
+    """The values as a set; CliError naming those given more than once."""
+    repeated = sorted({x for x in values if values.count(x) > 1})
+    if repeated:
+        raise CliError(f"{label} {', '.join(map(show, repeated))} given more than once")
+    return frozenset(values)
 
 
 def _partition(args, name: str) -> Partition:
@@ -292,9 +300,7 @@ def _moduli(args) -> tuple[int, ...] | None:
     modulus given twice would sweep its instances twice."""
     if not args.e:
         return None
-    repeated = sorted({e for e in args.e if args.e.count(e) > 1})
-    if repeated:
-        raise CliError(f"--e {', '.join(map(str, repeated))} given more than once")
+    _once(args.e, "--e")
     return tuple(args.e)
 
 
@@ -305,13 +311,13 @@ def cmd_render(args) -> int:
     if args.format == "svg":
         _reject(args, ("overlay",), "render --format svg")
     t = _sign_sequence(args)
-    flattened = set()
-    if args.flatten:
-        for chunk in args.flatten.split(","):
-            u, colon, w = chunk.partition(":")
-            if not colon:
-                raise CliError(f"--flatten: {chunk.strip()!r} is not an opener:closer pair")
-            flattened.add((_integer(u, "--flatten"), _integer(w, "--flatten")))
+    given = []
+    for chunk in args.flatten.split(",") if args.flatten else ():
+        u, colon, w = chunk.partition(":")
+        if not colon:
+            raise CliError(f"--flatten: {chunk.strip()!r} is not an opener:closer pair")
+        given.append((_integer(u, "--flatten"), _integer(w, "--flatten")))
+    flattened = _once(given, "--flatten:", lambda pair: f"{pair[0]}:{pair[1]}")
     # the window's pairs in ranks, by their pair of positions
     at = t.positions
     pairs, _ = window_pairs(t.word, 0, len(at) + 1)
@@ -322,7 +328,7 @@ def cmd_render(args) -> int:
     if inner:
         listed = ",".join(f"{at[u - 1]}:{at[w - 1]}" for u, w in sorted(inner))
         raise CliError(f"--flatten: the pairs {listed} inside a flattened pair must be flattened too")
-    path = LatticedPath(t, frozenset(flattened))
+    path = LatticedPath(t, flattened)
     if args.format == "ascii":
         text = render_ascii(path, overlay=bool(args.overlay))
     else:  # svg; argparse restricts the formats
@@ -406,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flatten", help="pairs to flatten, e.g. 3:4,2:7")
     p.add_argument("--format", choices=["ascii", "svg"], default="ascii")
     p.add_argument("--out")
-    p.add_argument("--overlay", action="store_true", default=None)
+    p.add_argument("--overlay", action="store_true", default=None,
+                   help="end the ASCII drawing with a line putting '.' under each flattened stroke")
     p.set_defaults(func=cmd_render)
 
     return parser

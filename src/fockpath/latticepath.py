@@ -38,7 +38,7 @@ chain of nested paths; entries that cross or share an end, which no
 collection has, raise ValueError.  ``_path_table`` builds down-closed
 masks by the parent rule, and ``standing_pairs`` is the one check of that
 rule, run by ``is_valid_mask`` and ``fockpath render``.  Both
-renderers draw one height walk over a path's ``steps()`` (``_heights``).
+renderers draw ``path_profile`` on the path's own window.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
-from typing import Iterable, Iterator
+from itertools import accumulate, pairwise
+from typing import Iterable
 
 from .signseq import PairingError, SignSequence, bracket_pairs
 
@@ -537,37 +537,26 @@ def mask_norms(word: tuple[bool, ...], pairs: list[list[int]]) -> dict[int, int]
 # -- rendering ------------------------------------------------------------
 
 
-_RISE = {UP: 1, DOWN: -1, FLAT: 0}
-
-
-def _heights(path: LatticedPath) -> list[int]:
-    """The path's height at each grid point, 0 at its left end."""
-    return list(accumulate((_RISE[kind] for _, kind in path.steps()), initial=0))
-
-
-def _char_cells(path: LatticedPath) -> Iterator[tuple[int, int, str]]:
-    """(column, band, char) triples; band b covers heights [b, b+1)."""
-    heights = _heights(path)
-    for col, (h, next_h) in enumerate(zip(heights, heights[1:])):
-        yield col, min(h, next_h), "/" if next_h > h else "\\" if next_h < h else "_"
+def _profile(path: LatticedPath) -> list[int]:
+    """The path's height at each grid point, 0 at its left end: path_profile
+    on the path's own window ([0] for the degenerate path)."""
+    w = path.window
+    return path_profile(w.word, w.prefix_heights, 0, len(w.word) + 1, _mask(w.ranks, path))
 
 
 def render_ascii(path: LatticedPath, overlay: bool = False) -> str:
-    """Deterministic ASCII drawing; '.' marks the generic path where the
-    rendered one was flattened, when overlay is requested."""
-    cells = {(c, b): ch for c, b, ch in _char_cells(path)}
+    """Deterministic ASCII drawing, one line per band b of heights [b, b+1);
+    with overlay, a last line puts '.' under each flattened stroke."""
+    strokes = list(pairwise(_profile(path)))
+    cells = {(c, min(h, g)): "/" if g > h else "\\" if g < h else "_"
+             for c, (h, g) in enumerate(strokes)}
+    # a stroke shares a grid point with the next, so the bands are contiguous
+    lines = ["".join(cells.get((c, band), " ") for c in range(len(strokes))).rstrip()
+             for band in sorted({b for _, b in cells}, reverse=True)]
     if overlay and path.flattened:
-        generic = LatticedPath(path.window, frozenset())
-        for c, b, ch in _char_cells(generic):
-            if (c, b) not in cells:
-                cells[(c, b)] = "."
-    if not cells:
-        return ""
-    cols = max(c for c, _ in cells) + 1
-    bands = sorted({b for _, b in cells})
-    lines = []
-    for band in range(bands[-1], bands[0] - 1, -1):
-        lines.append("".join(cells.get((c, band), " ") for c in range(cols)).rstrip())
+        # the level strokes are the flattened ones; each '_' sits in the cell
+        # of the '/' or '\\' it replaces, so the marks take a line of their own
+        lines.append("".join("." if h == g else " " for h, g in strokes).rstrip())
     return "\n".join(lines)
 
 
@@ -577,7 +566,7 @@ _SVG_SCALE = 20  # pixels per grid unit
 def render_svg(paths: Iterable[LatticedPath]) -> str:
     """One polyline per path on a unit-square grid, origin at each path's
     left endpoint."""
-    polylines = [_heights(path) for path in paths]
+    polylines = [_profile(path) for path in paths]
     every = [h for heights in polylines for h in heights] or [0]
     min_y, max_y = min(every), max(every)
     max_x = max([1, *(len(heights) - 1 for heights in polylines)])

@@ -339,27 +339,21 @@ def run_construction_sweep(cfg: ConstructionSweepConfig) -> SweepReport:
     norm multisets still agree on that instance; each one is logged with its
     corner tag."""
     report = SweepReport(kind="construction")
-    corners: dict[str, int] = {}
     logged: list[dict] = []
-    built = 0
     for t, a, b in iter_exhaustive_instances(cfg.max_positions):
         report.checked += 1
         try:
             build_bijection(t, a, b)
-            built += 1
         except ConstructionError as exc:
-            corners[exc.corner] = corners.get(exc.corner, 0) + 1
             left, right = index_set_norms(t, a, b)
             entry = dict(_instance_data(t, a, b, left, right), corner=exc.corner)
             logged.append(entry)
             if left != right:
                 report.fail(**dict(entry, multisets="mismatch"))
-    report.notes["built"] = built
-    report.notes["corners"] = corners
+    report.notes["built"] = report.checked - len(logged)
+    report.notes["corners"] = dict(Counter(entry["corner"] for entry in logged))
     report.notes["construction_failures"] = logged
-    report.notes["failure_rate"] = (
-        0.0 if report.checked == 0 else 1.0 - built / report.checked
-    )
+    report.notes["failure_rate"] = len(logged) / report.checked if report.checked else 0.0
     return report
 
 

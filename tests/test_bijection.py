@@ -238,6 +238,21 @@ def test_planted_failures_keep_their_corners_and_messages(no_deep_nesting):
     )
 
 
+def test_the_construction_sweep_tolerates_and_logs_planted_failures(no_deep_nesting):
+    # the norm multisets still agree where the planted fault stops a build,
+    # so each failure is logged with its corner and none is a sweep failure
+    no_deep_nesting()
+    report = sweeps.run_construction_sweep(sweeps.ConstructionSweepConfig(max_positions=7))
+    assert (report.checked, report.notes["built"]) == (2806, 2761)
+    assert report.notes["corners"] == {"split-pairing": 33, "strip": 12}
+    assert list(report.notes["corners"]) == ["split-pairing", "strip"]  # first seen first
+    logged = report.notes["construction_failures"]
+    assert len(logged) == 45 and report.failures == []
+    assert Counter(entry["corner"] for entry in logged) == report.notes["corners"]
+    assert all(entry["normsL"] == entry["normsR"] for entry in logged)
+    assert report.notes["failure_rate"] == pytest.approx(45 / 2806)
+
+
 def test_index_sets_ignore_the_container_and_repeat_exactly():
     for t, a, b in list(iter_exhaustive_instances(5))[::7]:
         lefts = left_elements(t, frozenset(a), frozenset(b))

@@ -529,6 +529,27 @@ def test_verify_rejects_a_repeated_modulus(capsys, kind):
     assert err == "error: --e 2 given more than once\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("paths", "--plus", "1,1", "--minus", "2"), "--plus: 1 given more than once"),
+        (("paths", "--plus", "3,5,6", "--minus", "4,1,2,4,1"),
+         "--minus: 1, 4 given more than once"),
+        (("paths", "--plus", "3,5,6", "--minus", "1,2,4", "--add", "1,2,1", "--remove", "5,6"),
+         "--add: 1 given more than once"),
+        (("decomp", "--e", "2", "--col", "5,3", "--r", "0", "--add", "1", "--remove", "1,1"),
+         "--remove: 1 given more than once"),
+        (("render", "--plus", "1,2", "--minus", "3,4", "--flatten", "1:2,1:2"),
+         "--flatten: 1:2 given more than once"),
+        (("render", "--plus", "1,2", "--minus", "3,4", "--flatten", "2:3,1:4, 2:3"),
+         "--flatten: 2:3 given more than once"),
+    ],
+    ids=["plus", "minus-two", "add", "remove", "flatten", "flatten-spaced"],
+)
+def test_a_repeated_position_is_a_usage_error(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 def test_paths_on_a_deeply_nested_window(capsys):
     plus = ",".join(str(p) for p in range(1, 601))
     minus = ",".join(str(p) for p in range(601, 1201))
@@ -624,6 +645,22 @@ def test_a_flag_the_command_would_ignore_is_a_usage_error(capsys, tmp_path, monk
 )
 def test_a_drawing_flag_the_output_format_would_ignore_is_a_usage_error(capsys, argv, message):
     assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, marks",
+    [
+        (("--plus", "2,3,5,9", "--minus", "1,4,6,7,8", "--flatten", "3:4"), "  .."),
+        (("--plus", "1,2", "--minus", "3,4", "--flatten", "1:4,2:3"), "...."),
+    ],
+    ids=["readme", "nested"],
+)
+def test_render_overlay_adds_a_line_marking_the_flattened_strokes(capsys, argv, marks):
+    code, plain, _ = run(capsys, "render", *argv)
+    assert code == 0
+    code, dotted, _ = run(capsys, "render", *argv, "--overlay")
+    assert code == 0 and dotted != plain
+    assert dotted == plain + marks + "\n"
 
 
 def test_render_overlay_marks_the_generic_path_in_ascii(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import time
 from itertools import accumulate, combinations, product
 
@@ -220,6 +221,23 @@ def test_render_svg_deterministic():
     svg = render_svg([path])
     assert svg == render_svg([path])
     assert svg.startswith("<svg") and svg.count("<polyline") == 1
+
+
+def test_the_drawings_are_pinned_on_every_word_up_to_9_positions():
+    # every sign word on 1..k, k <= 9 (bit i of the word marks i + 1 as
+    # plus): each path's ASCII drawing in order, then the SVG of all of them
+    h, drawn = hashlib.sha256(), 0
+    for k in range(10):
+        for word in range(2**k):
+            t = SignSequence(frozenset(i + 1 for i in range(k) if word >> i & 1),
+                             frozenset(i + 1 for i in range(k) if not word >> i & 1))
+            paths = latticed_paths(t)
+            for path in paths:
+                h.update((render_ascii(path) + "\n").encode())
+            h.update((render_svg(paths) + "\n").encode())
+            drawn += len(paths)
+    assert drawn == 4787
+    assert h.hexdigest() == "c244f32159c82bd4c48b25e66ffbd92d2f81c699140216e2a95959039020410f"
 
 
 def test_wellnested_collections_match_the_filtered_product():

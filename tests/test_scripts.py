@@ -126,7 +126,7 @@ def test_run_acceptance_passes_cache_to_the_configs_with_a_cache_dir(acceptance,
 
 # sha256 of the worked nine-step figure: the five paths' ASCII drawings on
 # stdout, and the SVG file holding all five
-DRAWINGS_SHA256 = "eba81ae1351a32a10acdcee59f9e0c603477070e5d469b1d4738eb8761cc58ef"
+DRAWINGS_SHA256 = "9fa2e867d4e2b7a8030115e3c6b25990e1b93609c55120903198b45e9721c075"
 SVG_SHA256 = "1849ad0fa5cec619ba2c442128d011d6d1a12a2ffed3e0bdbc0f2ba2f3a4071b"
 
 
