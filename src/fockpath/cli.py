@@ -17,6 +17,7 @@ import dataclasses
 import json
 import os
 import sys
+from collections import Counter
 
 from .closedform import (
     MoveSpec,
@@ -52,14 +53,13 @@ class CliError(ValueError):
 def _parse_positions(args, name: str) -> frozenset[int]:
     """The comma-separated positions given to --name; none when absent."""
     text = (getattr(args, name) or "").strip()
-    if not text:
-        return frozenset()
-    return _once([_integer(x, f"--{name}") for x in text.split(",")], f"--{name}:")
+    values = [_integer(x, f"--{name}") for x in text.split(",")] if text else []
+    return _once(values, f"--{name}:")
 
 
 def _once(values: list, label: str, show=str) -> frozenset:
     """The values as a set; CliError naming those given more than once."""
-    repeated = sorted({x for x in values if values.count(x) > 1})
+    repeated = sorted(x for x, n in Counter(values).items() if n > 1)
     if repeated:
         raise CliError(f"{label} {', '.join(map(show, repeated))} given more than once")
     return frozenset(values)
