@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Re-draw the worked path figures (ASCII to stdout, SVG to files)."""
+"""Re-draw the worked path figures (ASCII to stdout, SVG to files).
+
+Exits 2, after an error line, when the SVG file cannot be written.
+"""
 
 import argparse
 import sys
@@ -20,8 +23,12 @@ def main(argv: list[str] | None = None) -> int:
         print(render_ascii(path, overlay=True))
         print()
     if args.svg_out:
-        with open(args.svg_out, "w", encoding="utf-8") as fh:
-            fh.write(render_svg(paths) + "\n")
+        try:
+            with open(args.svg_out, "w", encoding="utf-8") as fh:
+                fh.write(render_svg(paths) + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {args.svg_out}")
     return 0
 

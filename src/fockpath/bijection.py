@@ -17,16 +17,17 @@ returns (``_check_instance``, ``_plan``); index_set_norms counts both on
 one plan, on ranks (mask_norms).
 
 The two norm multisets always agree; build_bijection produces an explicit
-norm-preserving bijection by recursion (strip a pair with empty plus
-interior, or split along the plus closest below a removed column) down to
-one added column with nothing removed.  There each left element has one of
-two images: its truncation when its column is an unpaired plus, else its
-extension to the first valley at or beyond its column (the added column's
-own element extends its empty path).  Every
-structural assumption of the construction is asserted at runtime, and any
-failure raises ConstructionError tagged with the corner that broke and
-reported against the shape whose step failed, where ``_build`` places it,
-so callers can fall back to the multiset check.
+norm-preserving bijection by recursion.  Each step makes one reduction
+choice, in ``_build``: the pair (a0, b0) of A below B with the fewest plus
+positions inside, stripped when it holds none, else split along its last
+plus.  The recursion ends at one added column with nothing removed, where
+each left element has one of two images: its truncation when its column
+is an unpaired plus, else its extension to the first valley at or beyond
+its column (the added column's own element extends its empty path).
+Every structural assumption of the construction is asserted at runtime,
+and any failure raises ConstructionError tagged with the corner that broke
+and reported against the shape whose step failed, where ``_build`` places
+it, so callers can fall back to the multiset check.
 
 The recursion runs in rank space.  An instance is its shape: T's sign
 word, held as the sign sequence on ranks 1..k, and the ranks of A and B.
@@ -276,18 +277,28 @@ _SHAPE_CACHE = 64
 def _build(s: SignSequence, a: frozenset[int], b: frozenset[int]) -> MappingProxyType:
     """The explicit bijection of the shape (s on ranks 1..k), verified;
     read-only, as every caller shares it.  A failing step of this shape is
-    reported against it."""
+    reported against it.
+
+    The one reduction choice: the pair (a0, b0) of A below B with the fewest
+    plus positions inside is stripped when it holds none, else split."""
     word = s.word
     try:
         lefts, rights = _index_sets(word, a, b)
         if not b:
             mapping = _base_case(s, next(iter(a)), lefts)
         else:
-            empty_pairs = [(x, y) for x in a for y in b if x < y and not any(word[x:y - 1])]
-            if empty_pairs:
-                mapping = _case_strip(s, a, b, lefts, rights, empty_pairs)
-            else:
-                mapping = _case_split(s, a, b, lefts, rights)
+            sizes = {(x, y): word[x:y - 1].count(True) for x in a for y in b if x < y}
+            if not sizes:
+                raise ConstructionError("split", "no opener below any removed column")
+            m0 = min(sizes.values())
+            corner = "split" if m0 else "strip"
+            a0, b0 = _chosen_pair(a, [p for p, m in sizes.items() if m == m0])
+            if word[a0:b0 - 1].count(True) != m0:
+                raise ConstructionError(corner, "normalisation changed the minimal interior")
+            if any(a0 < x < b0 for x in a | b):
+                raise ConstructionError(corner, "chosen pair keeps A or B members inside")
+            case = _case_split if m0 else _case_strip
+            mapping = case(s, a, b, a0, b0, lefts, rights)
         _verify(mapping, set(lefts), set(rights))
     except ConstructionError as exc:
         raise exc.place(s, a, b)
@@ -486,13 +497,8 @@ def _reaim(base, entries, old, new, corner) -> list:
 # -- strip case: some pair encloses no plus position ------------------------
 
 
-def _case_strip(t: SignSequence, a, b, lefts, rights, empty_pairs):
+def _case_strip(t: SignSequence, a, b, a0, b0, lefts, rights):
     word = t.word
-    a0, b0 = _chosen_pair(a, empty_pairs)
-    if any(word[a0:b0 - 1]):
-        raise ConstructionError("strip", "normalisation exposed plus positions")
-    if any(a0 < x < b0 for x in a):
-        raise ConstructionError("strip", "normalisation left members of A inside")
     a2, b2 = a - {a0}, b - {b0}
     shift = -(1 + word[a0:b0 - 1].count(False))
 
@@ -553,20 +559,8 @@ def _strip_right(t, a2, b2, a0, b0, el):
 # -- split case: every pair encloses a plus position ------------------------
 
 
-def _case_split(t: SignSequence, a, b, lefts, rights):
+def _case_split(t: SignSequence, a, b, a0, b0, lefts, rights):
     word = t.word
-    pairs_ab = [(x, y) for x in a for y in b if x < y]
-    if not pairs_ab:
-        raise ConstructionError("split", "no opener below any removed column")
-    sizes = {p: word[p[0]:p[1] - 1].count(True) for p in pairs_ab}
-    m0 = min(sizes.values())
-    if m0 == 0:
-        raise ConstructionError("split", "dispatch error: an empty plus interior remains")
-    a0, b0 = _chosen_pair(a, [p for p in pairs_ab if sizes[p] == m0])
-    if word[a0:b0 - 1].count(True) != m0:
-        raise ConstructionError("split", "normalisation changed the minimal interior")
-    if any(a0 < x < b0 for x in a | b):
-        raise ConstructionError("split", "chosen pair keeps A or B members inside")
     b1 = max(r for r in range(a0 + 1, b0) if word[r - 1])
     btil = (b - {b0}) | {b1}
     if any(word[b1:b0 - 1]):

@@ -249,26 +249,21 @@ def cmd_oracle(args) -> int:
 # -- verify ---------------------------------------------------------------------
 
 
-# The verify flags, in the order a stray one is named; the field each sets if
-# not its own name (--e and --max-n set the budgets of a config with them).
-_SWEEP_FLAGS = ("max_positions", "samples", "seed", "report", "e", "max_n", "cache")
-_FIELDS = {"e": "e_values", "cache": "cache_dir", "report": "report_path"}
+# The verify flags, in the order a stray one is named, and the config field
+# each sets; --e and --max-n together set the budgets.
+_SWEEP_FLAGS = {"max_positions": "max_positions", "samples": "samples", "seed": "seed",
+                "report": "report_path", "e": "budgets", "max_n": "budgets", "cache": "cache_dir"}
 
 
 def cmd_verify(args) -> int:
     sweep = sweeps.SWEEPS[args.kind]
     cfg = sweep.acceptance
     fields = {f.name for f in dataclasses.fields(cfg)}
-    budgets = "budgets" in fields
-    field = {f: "budgets" if budgets and f in ("e", "max_n") else _FIELDS.get(f, f)
-             for f in _SWEEP_FLAGS}
-    _reject(args, [f for f in _SWEEP_FLAGS if field[f] not in fields], f"verify {args.kind}")
+    _reject(args, [f for f, name in _SWEEP_FLAGS.items() if name not in fields], f"verify {args.kind}")
     # the given flags; the other fields keep the acceptance config's values
-    given = {field[f]: getattr(args, f) for f in _SWEEP_FLAGS if getattr(args, f) is not None}
-    if budgets:
+    given = {name: getattr(args, f) for f, name in _SWEEP_FLAGS.items() if getattr(args, f) is not None}
+    if "budgets" in fields:
         given["budgets"] = _budgets(args, cfg.budgets)
-    if "e_values" in given:
-        given["e_values"] = _moduli(args)
     if "cache_dir" in fields:
         given["cache_dir"] = _cache_dir(args)
     report = sweep.run(dataclasses.replace(cfg, **given))
@@ -285,23 +280,14 @@ def cmd_verify(args) -> int:
 
 
 def _budgets(args, default):
-    """(e, max_n) budgets: the given --e values (else the default moduli),
-    each with --max-n if given, else its default budget (8 for a modulus
-    without one)."""
+    """(e, max_n) budgets: the given --e values in order (else the default
+    moduli), each with --max-n if given, else its default budget (8 for a
+    modulus without one).  A modulus given twice would sweep its instances
+    twice."""
     defaults = dict(default)
-    return tuple(
-        (e, args.max_n if args.max_n is not None else defaults.get(e, 8))
-        for e in (_moduli(args) or defaults)
-    )
-
-
-def _moduli(args) -> tuple[int, ...] | None:
-    """The --e values in the given order, None when none is given; a
-    modulus given twice would sweep its instances twice."""
-    if not args.e:
-        return None
-    _once(args.e, "--e")
-    return tuple(args.e)
+    moduli = tuple(args.e or defaults)
+    _once(moduli, "--e")
+    return tuple((e, args.max_n if args.max_n is not None else defaults.get(e, 8)) for e in moduli)
 
 
 # -- render ------------------------------------------------------------------

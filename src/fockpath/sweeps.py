@@ -3,11 +3,12 @@
 Each sweep walks a budgeted family of instances, records every failure with
 enough data to reproduce it, and returns a JSON-able report.  All sweeps
 are deterministic for a fixed configuration (the random sampler takes an
-explicit seed).  The formula, branching and consistency sweeps share one
-walk over (e, lam) budgets (the two oracle-backed ones also one config and
-the oracles along it), the branching and consistency sweeps and the
-exhaustive instances one filter of onto column sets, and every failure on a
-partition is placed by the same fields: lam, e, r, then A and B.
+explicit seed).  The formula, branching and consistency sweeps take
+budgets of one shape, one (e, max_n) pair per modulus, and share one walk
+over them (the two oracle-backed ones also one config and the oracles
+along it), the branching and consistency sweeps and the exhaustive
+instances one filter of onto column sets, and every failure on a partition
+is placed by the same fields: lam, e, r, then A and B.
 
 ``SWEEPS`` holds each sweep's runner and its acceptance and deep configs
 (frozen, as the entries are shared) for ``fockpath verify`` and
@@ -372,8 +373,7 @@ def _instance_data(t: SignSequence, a, b, left: Counter[int], right: Counter[int
 
 @dataclass(frozen=True)
 class ConsistencySweepConfig:
-    e_values: tuple[int, ...] = (2, 3)
-    max_n: int = 10
+    budgets: tuple[tuple[int, int], ...] = ((2, 10), (3, 10))
 
 
 @_timed
@@ -381,7 +381,7 @@ def run_consistency_sweep(cfg: ConsistencySweepConfig) -> SweepReport:
     """Left and right evaluations of the induction coefficient must agree for
     every partition within budget, e-singular ones included."""
     report = SweepReport(kind="consistency")
-    for e, lam in _labels([(e, cfg.max_n) for e in cfg.e_values], regular=False):
+    for e, lam in _labels(cfg.budgets, regular=False):
         for r in range(e):
             for a, b in _induction_sets(sign_sequence_of(lam, e, r)):
                 lhs, rhs = consistency_sums(lam, e, r, a, b)
@@ -413,5 +413,5 @@ SWEEPS = {
     "construction": Sweep(run_construction_sweep, ConstructionSweepConfig(),
                           ConstructionSweepConfig(max_positions=9)),
     "consistency": Sweep(run_consistency_sweep, ConsistencySweepConfig(),
-                         ConsistencySweepConfig(max_n=18)),
+                         ConsistencySweepConfig(budgets=((2, 18), (3, 18)))),
 }

@@ -112,7 +112,7 @@ def test_criterion_4_constructive_bijection():
 def test_criterion_5_consistency_identity():
     t0 = time.time()
     report = sweeps.run_consistency_sweep(
-        ConsistencySweepConfig(e_values=(2, 3), max_n=10)
+        ConsistencySweepConfig(budgets=((2, 10), (3, 10)))
     )
     ok = report.ok
     report_line(

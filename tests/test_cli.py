@@ -661,9 +661,3 @@ def test_render_overlay_adds_a_line_marking_the_flattened_strokes(capsys, argv, 
     code, dotted, _ = run(capsys, "render", *argv, "--overlay")
     assert code == 0 and dotted != plain
     assert dotted == plain + marks + "\n"
-
-
-def test_render_overlay_marks_the_generic_path_in_ascii(capsys):
-    code, out, _ = run(capsys, "render", "--plus", "1,2", "--minus", "3,4",
-                       "--flatten", "1:4,2:3", "--overlay")
-    assert code == 0 and "." in out

@@ -139,3 +139,15 @@ def test_draw_examples_draws_the_pinned_figures(capsys, tmp_path):
     assert draw.main(["--svg-out", str(svg)]) == 0
     assert capsys.readouterr().out == drawings + f"wrote {svg}\n"
     assert hashlib.sha256(svg.read_bytes()).hexdigest() == SVG_SHA256
+
+
+def test_draw_examples_exits_2_when_the_svg_cannot_be_written(capsys, tmp_path):
+    draw = _script("draw_examples")
+    assert draw.main([]) == 0
+    drawings = capsys.readouterr().out
+    svg = tmp_path / "missing" / "paths.svg"
+    assert draw.main(["--svg-out", str(svg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == drawings
+    assert captured.err.startswith("error: [Errno 2] ") and captured.err.endswith(f"{str(svg)!r}\n")
+    assert captured.err.count("\n") == 1

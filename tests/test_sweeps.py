@@ -1,9 +1,10 @@
-"""The failure records of the partition sweeps, pinned under planted faults.
+"""The failure records of the sweeps, pinned under planted faults.
 
-Each sweep reports a failure with the fields that place it (lam, e, r and,
-for a move or an induction instance, A and B) ahead of what disagreed.  The
-faults below break a chosen share of checks of every kind, and the records
-they produce are pinned by count and by digest.
+Each partition sweep reports a failure with the fields that place it (lam,
+e, r and, for a move or an induction instance, A and B) ahead of what
+disagreed, and each instance sweep with the instance and both norm
+multisets.  The faults below break a chosen share of checks of every kind,
+and the records they produce are pinned by count and by digest or in full.
 """
 
 import hashlib
@@ -11,6 +12,8 @@ import json
 from collections import Counter
 
 from fockpath import fockspace, sweeps
+from fockpath.bijection import ConstructionError
+from fockpath.cli import main
 from fockpath.laurent import ZERO, LaurentPolynomial
 
 PLANTED_FAILURES_SHA256 = "7033bd483e859986cdde3557210bf2dc8aa1cb8beba05f1e89f693228b7f508a"
@@ -65,7 +68,9 @@ def test_planted_failures_keep_their_records(monkeypatch):
     branching = sweeps.run_branching_sweep(
         sweeps.BranchingSweepConfig(budgets=((2, 8), (3, 7)))
     )
-    consistency = sweeps.run_consistency_sweep(sweeps.ConsistencySweepConfig(max_n=7))
+    consistency = sweeps.run_consistency_sweep(
+        sweeps.ConsistencySweepConfig(budgets=((2, 7), (3, 7)))
+    )
 
     assert (len(formula.failures), formula.checked) == (133, 243)
     assert Counter(f.get("kind", "value") for f in formula.failures) == {
@@ -137,3 +142,44 @@ def test_a_singular_pivot_is_a_branching_failure(monkeypatch):
     assert report.notes["blocked"] == 1
     assert not report.ok
     assert report.checked == clean.checked - skipped
+
+
+def test_planted_failures_of_the_instance_sweeps(monkeypatch, tmp_path, capsys):
+    def index_set_norms(t, a, b):
+        left, right = index_set_norms.real(t, a, b)
+        if len(b) == 1:
+            right[99] += 1
+        return left, right
+
+    def build_bijection(t, a, b):
+        if len(b) == 1:
+            raise ConstructionError("split-pairing", "planted")
+        return build_bijection.real(t, a, b)
+
+    for plant in (index_set_norms, build_bijection):
+        plant.real = getattr(sweeps, plant.__name__)
+        monkeypatch.setattr(sweeps, plant.__name__, plant)
+
+    lines = tmp_path / "instances.jsonl"
+    bijection = sweeps.run_bijection_sweep(
+        sweeps.BijectionSweepConfig(max_positions=4, samples=0, report_path=str(lines))
+    )
+    assert (len(bijection.failures), bijection.checked) == (18, 67)
+    assert bijection.failures[0] == {
+        "T": {"plus": [2], "minus": [1, 3]}, "A": [1, 3], "B": [2],
+        "normsL": [1], "normsR": [1, 99],
+    }
+    records = [json.loads(line) for line in lines.read_text(encoding="utf-8").splitlines()]
+    assert len(records) == 67
+    assert [r for r in records if not r["ok"]] == [dict(f, ok=False) for f in bijection.failures]
+
+    construction = sweeps.run_construction_sweep(sweeps.ConstructionSweepConfig(max_positions=4))
+    assert (construction.checked, construction.notes["built"]) == (67, 49)
+    assert construction.notes["corners"] == {"split-pairing": 18}
+    assert construction.failures == [
+        dict(f, corner="split-pairing", multisets="mismatch") for f in bijection.failures
+    ]
+
+    assert main(["verify", "bijection", "--max-positions", "4", "--samples", "0"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  FAIL ")]
+    assert fails == [f"  FAIL {json.dumps(f, sort_keys=True)}" for f in bijection.failures]

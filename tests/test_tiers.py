@@ -1,8 +1,8 @@
 """The budgets of both tiers in sweeps.SWEEPS never fall below these floors.
 
 A budget may grow without a test edit: each (e, n) floor is covered by a
-budget (e, n') with n' >= n, each count floor by a count at least as large,
-and each e_values floor by a superset.
+budget (e, n') with n' >= n, and each count floor by a count at least as
+large.
 """
 
 import pytest
@@ -14,14 +14,14 @@ ACCEPTANCE_FLOORS = {
     "branching": {"budgets": ((2, 12), (3, 10), (4, 9))},
     "bijection": {"max_positions": 8, "samples": 10000, "sample_positions": 12},
     "construction": {"max_positions": 8},
-    "consistency": {"e_values": (2, 3), "max_n": 10},
+    "consistency": {"budgets": ((2, 10), (3, 10))},
 }
 DEEP_FLOORS = {
     "formula": {"budgets": ((4, 16), (5, 16), (2, 24), (3, 22))},
     "branching": {"budgets": ((2, 22), (3, 20))},
     "bijection": {"max_positions": 10, "samples": 0},
     "construction": {"max_positions": 9},
-    "consistency": {"e_values": (2, 3), "max_n": 18},
+    "consistency": {"budgets": ((2, 18), (3, 18))},
 }
 
 
@@ -32,8 +32,6 @@ def _shortfalls(cfg, floors: dict) -> list:
         have = getattr(cfg, name)
         if name == "budgets":
             short += [(e, n) for e, n in floor if not any(e2 == e and n2 >= n for e2, n2 in have)]
-        elif name == "e_values":
-            short += [(name, e) for e in floor if e not in have]
         elif have < floor:
             short.append((name, floor))
     return short
@@ -56,12 +54,9 @@ def test_each_deep_tier_reaches_at_least_its_acceptance_tier(kind):
     # and the deep branching tier sweeps e = 2 and 3 only; --deep runs the
     # acceptance tier first, which keeps both.
     sweep = sweeps.SWEEPS[kind]
-    moduli = {e for e, _ in getattr(sweep.deep, "budgets", ())}
-    floors = {
-        name: getattr(sweep.acceptance, name)
-        for name in ("max_positions", "e_values", "max_n")
-        if hasattr(sweep.acceptance, name)
-    }
     if hasattr(sweep.acceptance, "budgets"):
-        floors["budgets"] = tuple((e, n) for e, n in sweep.acceptance.budgets if e in moduli)
+        moduli = {e for e, _ in sweep.deep.budgets}
+        floors = {"budgets": tuple((e, n) for e, n in sweep.acceptance.budgets if e in moduli)}
+    else:
+        floors = {"max_positions": sweep.acceptance.max_positions}
     assert _shortfalls(sweep.deep, floors) == []
