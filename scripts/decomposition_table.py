@@ -4,8 +4,9 @@
 For each e-regular partition of n and each residue, list the nonzero
 polynomials of all same-residue moves, together with the oracle value so
 the agreement is visible at a glance.  Exits 1 when the oracle disagrees
-on any move, and 2, after an error line, on a modulus below 2 or a
-negative size.
+on any move, and 2, after an error line, on a modulus below 2, a
+negative size or a --cache that cannot be used as a directory (a regular
+file, say).
 """
 
 import argparse
@@ -14,6 +15,30 @@ import sys
 from fockpath.closedform import admissible_moves, decomposition_polynomial
 from fockpath.fockspace import get_oracle, is_e_regular
 from fockpath.partitions import check_e, format_partition, partitions_of
+
+
+def print_table(e: int, n: int, cache: str | None) -> tuple[int, int]:
+    """Print one line per move; the number of moves and of disagreements."""
+    oracle = get_oracle(e, cache)
+    rows = disagreements = 0
+    for lam in partitions_of(n):
+        if not is_e_regular(lam, e):
+            continue
+        for r in range(e):
+            for move in admissible_moves(lam, e, r):
+                if move.is_identity:
+                    continue
+                poly = decomposition_polynomial(move)
+                check = oracle.coefficient(move.target, lam)
+                mark = "" if poly == check else "  << ORACLE DISAGREES"
+                print(
+                    f"d[{format_partition(move.target)}, {format_partition(lam)}]"
+                    f" (r={r}, add={sorted(move.added)}, remove={sorted(move.removed)})"
+                    f" = {poly}{mark}"
+                )
+                rows += 1
+                disagreements += poly != check
+    return rows, disagreements
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -30,25 +55,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    oracle = get_oracle(args.e, args.cache)
-    rows = disagreements = 0
-    for lam in partitions_of(args.n):
-        if not is_e_regular(lam, args.e):
-            continue
-        for r in range(args.e):
-            for move in admissible_moves(lam, args.e, r):
-                if move.is_identity:
-                    continue
-                poly = decomposition_polynomial(move)
-                check = oracle.coefficient(move.target, lam)
-                mark = "" if poly == check else "  << ORACLE DISAGREES"
-                print(
-                    f"d[{format_partition(move.target)}, {format_partition(lam)}]"
-                    f" (r={r}, add={sorted(move.added)}, remove={sorted(move.removed)})"
-                    f" = {poly}{mark}"
-                )
-                rows += 1
-                disagreements += poly != check
+    try:
+        rows, disagreements = print_table(args.e, args.n, args.cache)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"-- {rows} moves at e={args.e}, n={args.n}")
     if disagreements:
         print(f"error: the oracle disagrees on {disagreements} of {rows} moves", file=sys.stderr)

@@ -7,7 +7,8 @@ acceptance config, then, with --deep, each at its deep config (as
 instance up to MAP_DIGEST_POSITIONS positions, printed in canonical form,
 must equal MAP_DIGEST.  --cache goes to every config with a cache_dir.
 --json prints each run's report with the run's name, as the text names it.
-Exits nonzero if any sweep reports a failure.
+Exits 1 if any sweep reports a failure, and 2, after an error line, when
+the --cache directory cannot be used (a regular file, say).
 """
 
 import argparse
@@ -87,7 +88,11 @@ def main(argv: list[str] | None = None) -> int:
     all_ok = True
     results = []
     for name, runner in runs:
-        report = runner()
+        try:
+            report = runner()
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         all_ok &= report.ok
         results.append({**report.to_json(), "name": name})
         if not args.json:

@@ -13,8 +13,9 @@ positions, |A| = |B| + 1 and A onto B:
 
 Both index sets take their columns from one plan per instance, a single
 pass over the sign word and the ranks of A and B that the instance check
-returns (``_check_instance``, ``_plan``); index_set_norms counts both on
-one plan, on ranks (mask_norms).
+returns (``_check_instance``, ``_plan``).  index_set_norms is the one
+count of both: it returns the left and the right norm multisets together,
+on one plan, on ranks (mask_norms).
 
 The two norm multisets always agree; build_bijection produces an explicit
 norm-preserving bijection by recursion.  Each step makes one reduction
@@ -190,16 +191,6 @@ def index_set_norms(t: SignSequence, a, b) -> tuple[Counter[int], Counter[int]]:
             for norm, count in counts.items():
                 right[norm + shift] += count
     return left, right
-
-
-def left_norms(t: SignSequence, a, b) -> Counter[int]:
-    """Norm -> number of left elements, counted without building them."""
-    return index_set_norms(t, a, b)[0]
-
-
-def right_norms(t: SignSequence, a, b) -> Counter[int]:
-    """Norm -> number of right elements, counted without building them."""
-    return index_set_norms(t, a, b)[1]
 
 
 def norm_multisets_match(t: SignSequence, a, b) -> bool:

@@ -216,11 +216,6 @@ def latticed_paths_by_flattening(window: SignSequence) -> frozenset[LatticedPath
 # -- absolute embedding -------------------------------------------------
 
 
-def ambient_heights(t: SignSequence) -> tuple[dict[int, int], list[int]]:
-    """t's ranks, as a dict, and its generic path's prefix heights."""
-    return dict(t.ranks), list(t.prefix_heights)
-
-
 def path_profile(
     word: tuple[bool, ...], heights: list[int], x: int, y: int, mask: int
 ) -> list[int]:
@@ -262,18 +257,6 @@ class WellNestedCollection:
     @property
     def norm(self) -> int:
         return sum(path.norm for _, _, path in self.entries)
-
-    def path_of(self, opener: int) -> LatticedPath:
-        for a, _, path in self.entries:
-            if a == opener:
-                return path
-        raise KeyError(opener)
-
-
-def make_collection(
-    base: SignSequence, entries: Iterable[tuple[int, int, LatticedPath]]
-) -> WellNestedCollection:
-    return WellNestedCollection(base=base, entries=tuple(sorted(entries)))
 
 
 def rank_entries(t: SignSequence, entries: Iterable[tuple[int, int, LatticedPath]]) -> tuple:
@@ -357,7 +340,7 @@ def well_nested_collections(
     pairs = _perfect_matching(t, openers, closers)
     options = [
         [((u, w, _EMPTY),)] if u == w
-        else [((u, w, p),) for p in latticed_paths(t.between(u, w))]
+        else [((u, w, p),) for p in latticed_paths(t.restrict(u, w))]
         for u, w, _ in pairs
     ]
     # inclusion of flattened sets is transitive, so testing each child
@@ -444,7 +427,7 @@ def is_valid_path(path: LatticedPath) -> bool:
 # -- paths as rank masks --------------------------------------------------
 #
 # Over a sign word (True for plus), the path of a pair (x, y) of ranks
-# (counted from 1, as SignSequence.rank does) is one int: bit u is set when
+# (counted from 1, as SignSequence.ranks does) is one int: bit u is set when
 # the pair opened at rank u is flattened.  It is the table of the window's
 # word shifted by the window's first rank, x + 1.
 

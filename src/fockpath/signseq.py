@@ -8,7 +8,9 @@ pairing machinery below is classical bracket matching on that path.
 Every matching of an opener set against a closer set is one unmemoised
 scan, ``bracket_pairs``, which ``match_pairs`` and the collection code
 read; ``onto`` and ``bijective`` count path levels instead.  A sequence
-owns its one rank map, ``positions`` one way and ``ranks`` the other.
+owns its one rank map, ``positions`` one way and ``ranks`` the other, and
+cuts every window one way, ``restrict``: the positions strictly between
+two bounds, either of which may be left open.
 """
 
 from __future__ import annotations
@@ -47,10 +49,6 @@ class Matching:
             if w == position:
                 return u
         return None
-
-    def all_pairs(self) -> tuple[tuple[int, int], ...]:
-        """Matched pairs plus the degenerate self-pairs, sorted by opener."""
-        return tuple(sorted(self.pairs + tuple((x, x) for x in self.self_paired)))
 
 
 def bracket_pairs(
@@ -190,10 +188,6 @@ class SignSequence:
         """|plus| - |minus|; may be negative."""
         return len(self.plus) - len(self.minus)
 
-    def rank(self, position: int) -> int:
-        """1-based rank of a position; KeyError if it is none of t's."""
-        return self.ranks[position]
-
     def height(self, x: int) -> int:
         """Level of the generic path after every stroke at a position <= x,
         i.e. the size of the positions <= x."""
@@ -216,7 +210,9 @@ class SignSequence:
         return SignSequence(self.plus | {d}, self.minus - {d})
 
     def restrict(self, lower: int | None = None, upper: int | None = None) -> "SignSequence":
-        """Positions in (lower, upper)."""
+        """Positions strictly between lower and upper; None leaves that end
+        open.  The window of a pair (a, b) is restrict(a, b), and positions
+        are ints, so (a, b] is restrict(a, b + 1)."""
         positions = self.positions
         lo = 0 if lower is None else bisect_right(positions, lower)
         hi = len(positions) if upper is None else bisect_left(positions, upper)
@@ -228,22 +224,6 @@ class SignSequence:
         out.__dict__["positions"] = window
         out.__dict__["word"] = self.word[lo:hi]
         return out
-
-    def suffix(self, a: int) -> "SignSequence":
-        """Positions strictly greater than a."""
-        return self.restrict(lower=a)
-
-    def prefix(self, b: int) -> "SignSequence":
-        """Positions strictly less than b."""
-        return self.restrict(upper=b)
-
-    def between(self, a: int, b: int) -> "SignSequence":
-        """Positions strictly between a and b (the window of a pair)."""
-        return self.restrict(lower=a, upper=b)
-
-    def half_open(self, a: int, b: int) -> "SignSequence":
-        """Positions in (a, b]: positions are ints, so (a, b + 1)."""
-        return self.restrict(lower=a, upper=b + 1)
 
 
 def valley_set(t: SignSequence) -> frozenset[int]:

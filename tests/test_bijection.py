@@ -153,7 +153,7 @@ NESTED_T = SignSequence(frozenset({3, 5, 6}), frozenset({1, 2, 4}))
 
 
 def _window(lo, hi, flattened=()):
-    return (lo, hi, LatticedPath(NESTED_T.between(lo, hi), frozenset(flattened)))
+    return (lo, hi, LatticedPath(NESTED_T.restrict(lo, hi), frozenset(flattened)))
 
 
 def test_checked_rejects_a_changed_pairing():
@@ -251,6 +251,26 @@ def test_the_construction_sweep_tolerates_and_logs_planted_failures(no_deep_nest
     assert Counter(entry["corner"] for entry in logged) == report.notes["corners"]
     assert all(entry["normsL"] == entry["normsR"] for entry in logged)
     assert report.notes["failure_rate"] == pytest.approx(45 / 2806)
+
+
+@pytest.mark.parametrize("side, wrong", [
+    ("left_elements", "domain differs from the left set"),
+    ("right_elements", "image differs from the right set"),
+])
+def test_the_public_index_sets_check_the_map_of_the_shape(monkeypatch, side, wrong):
+    # build_bijection checks the rank-space map once more against the public
+    # element sets: one element dropped from either side fails that check,
+    # reported against the instance asked for
+    full = getattr(bijection, side)
+    monkeypatch.setattr(bijection, side, lambda t, a, b: full(t, a, b)[:-1])
+    t = SignSequence(frozenset({3, 5, 6}), frozenset({1, 2, 4}))
+    with pytest.raises(ConstructionError) as info:
+        build_bijection(t, {1, 2}, {5})
+    assert info.value.corner == "verify"
+    assert info.value.instance == (t, frozenset({1, 2}), frozenset({5}))
+    assert str(info.value) == (
+        f"[verify] map {wrong} (plus=[3, 5, 6], minus=[1, 2, 4], A=[1, 2], B=[5])"
+    )
 
 
 def test_index_sets_ignore_the_container_and_repeat_exactly():

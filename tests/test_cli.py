@@ -234,8 +234,11 @@ def test_oracle_rejects_negative_cache_level(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_cli_lines():
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = README.read_text(encoding="utf-8")
     block = text.split("## CLI", 1)[1].split("```")[1]
     return [line.split("#", 1)[0].split() for line in block.splitlines()
             if line.startswith("fockpath ")]
@@ -251,6 +254,17 @@ def test_readme_cli_examples_run(capsys):
         assert code == 0, (shlex.join(argv), err)
         ran += 1
     assert ran >= 6
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    # the Python block under "## Library example", run as printed: each
+    # print line's comment begins with what the line prints
+    text = README.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    block = text.split("```python", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    expected = [line.split("#", 1)[1].split(",")[0].strip()
+                for line in block.splitlines() if line.startswith("print(")]
+    assert capsys.readouterr().out.splitlines() == expected == ["v", "v"]
 
 
 def test_verify_consistency_small(capsys):
@@ -284,7 +298,7 @@ def test_verify_bijection_report_lines(capsys, tmp_path):
         "--report", str(target), "--json",
     )
     assert code == 0
-    lines = target.read_text().splitlines()
+    lines = target.read_text(encoding="utf-8").splitlines()
     assert lines
     for line in lines:
         record = json.loads(line)
@@ -305,7 +319,7 @@ def test_render_svg_to_file(capsys, tmp_path):
         "--format", "svg", "--out", str(target),
     )
     assert code == 0
-    body = target.read_text()
+    body = target.read_text(encoding="utf-8")
     assert body.startswith("<svg") and "polyline" in body
 
 
@@ -368,7 +382,7 @@ def test_module_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "fockpath", "decomp", "--e", "2", "--col", "2",
          "--row", "1,1", "--json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, encoding="utf-8",
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["poly"] == {"1": 1}
@@ -422,7 +436,7 @@ def test_verify_keeps_an_explicit_zero(capsys):
 )
 def test_os_errors_are_usage_errors(capsys, tmp_path, argv):
     regular = tmp_path / "regular"
-    regular.write_text("")
+    regular.write_text("", encoding="utf-8")
     paths = {"missing": tmp_path / "missing", "regular": regular}
     code, out, err = run(capsys, *(arg.format(**paths) for arg in argv))
     assert code == 2

@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 
 from fockpath import bijection
-from fockpath.bijection import _plan, left_elements, left_norms, right_elements, right_norms
+from fockpath.bijection import _plan, left_elements, right_elements
 from fockpath.closedform import branching_coefficient, sign_sequence_of
 from fockpath.latticepath import collection_norms, latticed_paths, well_nested_collections
 from fockpath.signseq import SignSequence, match_pairs, onto, unpaired_plus, valley_set
@@ -90,8 +90,9 @@ def index_set_norms():
 def test_index_set_norms_equal_the_element_counts():
     checked = 0
     for t, a, b in index_set_norms():
-        assert left_norms(t, a, b) == Counter(el.norm for el in left_elements(t, a, b))
-        assert right_norms(t, a, b) == Counter(el.norm for el in right_elements(t, a, b))
+        left, right = bijection.index_set_norms(t, a, b)
+        assert left == Counter(el.norm for el in left_elements(t, a, b))
+        assert right == Counter(el.norm for el in right_elements(t, a, b))
         checked += 1
     assert checked == 9878 + 2000
 
@@ -128,7 +129,8 @@ def test_index_set_norms_on_400_nested_pairs():
     k = 400
     t = SignSequence(frozenset(range(k + 1, 2 * k + 1)), frozenset(range(1, k + 1)) | {2 * k + 1})
     a, b = t.minus, t.plus
-    assert left_norms(t, a, b) == right_norms(t, a, b) == Counter({k * k: 1})
+    left, right = bijection.index_set_norms(t, a, b)
+    assert left == right == Counter({k * k: 1})
 
 
 def error_of(call):
@@ -164,8 +166,9 @@ BAD_INSTANCES = [
 @pytest.mark.parametrize("a,b", BAD_INSTANCES)
 def test_index_set_norms_and_elements_reject_alike(a, b):
     t = SignSequence(frozenset({3, 5, 6}), frozenset({1, 2, 4}))
-    assert error_of(lambda: left_norms(t, a, b)) == error_of(lambda: left_elements(t, a, b))
-    assert error_of(lambda: right_norms(t, a, b)) == error_of(lambda: right_elements(t, a, b))
+    norms = bijection.index_set_norms
+    assert error_of(lambda: norms(t, a, b)[0]) == error_of(lambda: left_elements(t, a, b))
+    assert error_of(lambda: norms(t, a, b)[1]) == error_of(lambda: right_elements(t, a, b))
 
 
 # sha256 of the paths of every window on up to 12 positions (8,191 windows),
@@ -196,14 +199,6 @@ def test_closed_form_entry_points_reject_a_non_partition(call):
     for _ in range(2):
         with pytest.raises(ValueError):
             call()
-
-
-def test_index_set_norms_are_both_one_sided_counts():
-    checked = 0
-    for t, a, b in index_set_norms():
-        assert bijection.index_set_norms(t, a, b) == (left_norms(t, a, b), right_norms(t, a, b))
-        checked += 1
-    assert checked == 9878 + 2000
 
 
 @pytest.mark.parametrize("a,b", BAD_INSTANCES)

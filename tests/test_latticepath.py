@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 from fockpath.closedform import MoveSpec, decomposition_paths
 from fockpath.latticepath import (
     LatticedPath,
+    WellNestedCollection,
     _path_table,
-    ambient_heights,
     is_valid_path,
     is_well_nested,
     latticed_paths,
     latticed_paths_by_flattening,
-    make_collection,
     mask_collections,
     masks_well_nested,
     path_profile,
@@ -90,7 +89,7 @@ def test_norm_identity_with_down_counts(window):
 def test_heights_stay_below_generic_with_same_endpoints(window):
     if not window.positions:
         return
-    rank, heights = ambient_heights(window)
+    rank, heights = window.ranks, window.prefix_heights
     for path in latticed_paths(window):
         prof = {}
         for k in range(len(window.positions) + 1):
@@ -112,7 +111,7 @@ def test_windows_keep_the_views_of_a_fresh_sequence():
                 frozenset(i + 1 for i in range(k) if not mask >> i & 1),
             )
             for lo, hi in combinations(range(k + 2), 2):
-                for w in (t.between(lo, hi), t.half_open(lo, hi)):
+                for w in (t.restrict(lo, hi), t.restrict(lo, hi + 1)):
                     fresh = SignSequence(w.plus, w.minus)
                     assert w == fresh
                     assert w.positions == fresh.positions
@@ -144,18 +143,15 @@ def test_wellnested_exclusion_of_inner_flattened():
     colls = well_nested_collections(t, {1, 2}, {5, 6})
     assert sorted((c.norm for c in colls), reverse=True) == [8, 6, 4]
     # the excluded combination: outer generic, inner (2,5)-window flattened
-    inner_flat = [
-        c
-        for c in colls
-        if c.path_of(2).flattened and not c.path_of(1).flattened
-    ]
+    paths = [{x: p for x, _, p in c.entries} for c in colls]
+    inner_flat = [p for p in paths if p[2].flattened and not p[1].flattened]
     assert not inner_flat
 
 
 def test_wellnested_single_pair_is_plain_path_set():
     t = NINE_STEP
     colls = well_nested_collections(t, {1}, {9})
-    window = t.between(1, 9)
+    window = t.restrict(1, 9)
     assert sorted(c.norm for c in colls) == sorted(
         p.norm for p in latticed_paths(window)
     )
@@ -177,15 +173,14 @@ def test_outer_flattening_is_monotone():
     members = set(colls)
     for coll in colls:
         outer = [
-            (a, b)
-            for a, b, _ in coll.entries
+            (a, b, path)
+            for a, b, path in coll.entries
             if not any(
                 x < a and b < y for x, y, _ in coll.entries
             )
         ]
-        for a, b in outer:
-            current = coll.path_of(a)
-            for candidate in latticed_paths(t.between(a, b)):
+        for a, b, current in outer:
+            for candidate in latticed_paths(t.restrict(a, b)):
                 if candidate.flattened >= current.flattened:
                     entries = [
                         (x, y, candidate if x == a else p)
@@ -254,10 +249,10 @@ def test_wellnested_collections_match_the_filtered_product():
                     if m.unpaired_openers or m.unpaired_closers:
                         continue
                     per_pair = [
-                        [(u, w, p) for p in latticed_paths(t.between(u, w))] for u, w in m.pairs
+                        [(u, w, p) for p in latticed_paths(t.restrict(u, w))] for u, w in m.pairs
                     ]
                     expected = tuple(
-                        make_collection(t, combo)
+                        WellNestedCollection(t, tuple(sorted(combo)))
                         for combo in product(*per_pair)
                         if is_well_nested(t, combo)
                     )
@@ -297,11 +292,11 @@ def test_wellnested_collections_with_a_self_paired_column():
                             continue
                         per_pair = [
                             [(u, w, LatticedPath.empty())] if u == w
-                            else [(u, w, p) for p in latticed_paths(t.between(u, w))]
-                            for u, w in m.all_pairs()
+                            else [(u, w, p) for p in latticed_paths(t.restrict(u, w))]
+                            for u, w in sorted(m.pairs + tuple((x, x) for x in m.self_paired))
                         ]
                         expected = tuple(
-                            make_collection(t, combo)
+                            WellNestedCollection(t, tuple(sorted(combo)))
                             for combo in product(*per_pair)
                             if is_well_nested(t, combo)
                         )
@@ -407,7 +402,7 @@ def test_entries_that_cross_or_share_an_end_raise(entries):
         frozenset(i + 1 for i, up in enumerate(LONG_WORD) if not up),
     )
     with pytest.raises(ValueError, match="cross or share an end"):
-        is_well_nested(t, [(x, y, LatticedPath(t.between(x, y))) for x, y, _ in entries])
+        is_well_nested(t, [(x, y, LatticedPath(t.restrict(x, y))) for x, y, _ in entries])
 
 
 def test_self_pairs_are_skipped_even_on_a_genuine_end():

@@ -54,6 +54,20 @@ def test_decomposition_table_rejects_a_bad_modulus_or_size(capsys, argv, message
     assert capsys.readouterr() == ("", message)
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("decomposition_table", ["--e", "2", "--n", "5"]),
+    ("run_acceptance", []),
+])
+def test_a_script_exits_2_on_a_cache_that_is_a_file(capsys, tmp_path, name, argv):
+    cache = tmp_path / "levels"
+    cache.write_bytes(b"")
+    assert _script(name).main([*argv, "--cache", str(cache)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(cache) in captured.err
+    assert captured.err.count("\n") == 1
+
+
 @pytest.fixture
 def acceptance(monkeypatch):
     """run_acceptance.py with every runner of sweeps.SWEEPS and map-digest

@@ -57,11 +57,11 @@ def test_valley_and_unpaired_examples():
 
 def test_subsequence_windows():
     t = SignSequence(frozenset({2}), frozenset({1}))
-    assert t.between(1, 2).positions == ()
-    assert t.half_open(1, 2).plus == {2}
-    assert t.half_open(1, 2).minus == frozenset()
+    assert t.restrict(1, 2).positions == ()
+    assert t.restrict(1, 3).plus == {2}
+    assert t.restrict(1, 3).minus == frozenset()
     big = SignSequence(frozenset({2, 3, 5, 9}), frozenset({1, 4, 6, 7, 8}))
-    suf = big.suffix(7)
+    suf = big.restrict(lower=7)
     assert suf.plus == {9} and suf.minus == {8}
     assert big.size == -1
     with pytest.raises(ValueError):
@@ -188,7 +188,8 @@ def _seeded_scattered(count, seed=2011):
 
 def _reference_valley_set(t):
     return frozenset(
-        v for v in t.minus if not match_pairs(t.suffix(v).plus, t.suffix(v).minus).unpaired_closers
+        v for v in t.minus
+        if not match_pairs(t.restrict(lower=v).plus, t.restrict(lower=v).minus).unpaired_closers
     )
 
 
@@ -221,27 +222,27 @@ def test_restrict_views_and_heights_match_the_predicate_filter():
     for t in list(_all_contiguous(6)) + list(_seeded_scattered(150)):
         cuts = sorted({p + d for p in t.positions for d in (-1, 0, 1)} | {0})
         for x in cuts:
-            assert t.suffix(x) == _reference_restrict(t, lower=x)
-            assert t.prefix(x) == _reference_restrict(t, upper=x)
+            assert t.restrict(lower=x) == _reference_restrict(t, lower=x)
+            assert t.restrict(upper=x) == _reference_restrict(t, upper=x)
             assert t.height(x) == _reference_restrict(t, upper=x, include_upper=True).size
-            assert t.height(x) + t.suffix(x).size == t.size
+            assert t.height(x) + t.restrict(lower=x).size == t.size
             for y in cuts:
-                assert t.between(x, y) == _reference_restrict(t, lower=x, upper=y)
-                assert t.half_open(x, y) == _reference_restrict(
+                assert t.restrict(x, y) == _reference_restrict(t, lower=x, upper=y)
+                assert t.restrict(x, y + 1) == _reference_restrict(
                     t, lower=x, upper=y, include_upper=True
                 )
-                window = t.half_open(x, y)
+                window = t.restrict(x, y + 1)
                 assert window.positions == tuple(sorted(window.plus | window.minus))
                 if x <= y:
-                    assert t.half_open(x, y).size == t.height(y) - t.height(x)
+                    assert t.restrict(x, y + 1).size == t.height(y) - t.height(x)
 
 
 def test_rank_and_prefix_heights_follow_the_positions():
     t = SignSequence(frozenset({2, 3, 5, 9}), frozenset({1, 4, 6, 7, 8}))
-    assert [t.rank(p) for p in t.positions] == list(range(1, 10))
+    assert [t.ranks[p] for p in t.positions] == list(range(1, 10))
     assert t.prefix_heights == (0, -1, 0, 1, 0, 1, 0, -1, -2, -1)
     with pytest.raises(KeyError):
-        t.rank(10)
+        t.ranks[10]
 
 
 def _definitional_matching(a, b):
@@ -292,21 +293,21 @@ def test_cached_fields_leave_equality_hash_and_repr_alone():
     t = SignSequence(frozenset({2, 3, 5, 9}), frozenset({1, 4, 6, 7, 8}))
     fresh = SignSequence(frozenset({2, 3, 5, 9}), frozenset({1, 4, 6, 7, 8}))
     before = (hash(t), repr(t))
-    t.positions, t.prefix_heights, t.matching(), valley_set(t), t.between(1, 9)
+    t.positions, t.prefix_heights, t.matching(), valley_set(t), t.restrict(1, 9)
     assert set(vars(t)) > {"plus", "minus"}
     assert (hash(t), repr(t)) == before == (hash(fresh), repr(fresh))
     assert t == fresh and not t != fresh
     assert repr(t) == f"SignSequence(plus={t.plus!r}, minus={t.minus!r})"
     assert hash(t) == hash((t.plus, t.minus))
-    window = t.between(1, 9)
+    window = t.restrict(1, 9)
     assert window == SignSequence(window.plus, window.minus)
     assert hash(window) == hash((window.plus, window.minus))
 
 
 def test_ranks_are_the_read_only_inverse_of_the_positions():
     t = SignSequence(frozenset({2, 3, 5, 9}), frozenset({1, 4, 6, 7, 8}))
-    for window in (t, t.between(1, 9), SignSequence(frozenset({-4, 10}), frozenset({0}))):
-        assert dict(window.ranks) == {p: window.rank(p) for p in window.positions}
+    for window in (t, t.restrict(1, 9), SignSequence(frozenset({-4, 10}), frozenset({0}))):
+        assert dict(window.ranks) == {p: window.ranks[p] for p in window.positions}
         assert [window.positions[window.ranks[p] - 1] for p in window.positions] == list(
             window.positions
         )
