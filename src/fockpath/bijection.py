@@ -365,7 +365,7 @@ def _base_case(t: SignSequence, a0: int, lefts) -> dict:
 
 def _flattened(word, lo: int, hi: int, mask: int) -> dict[int, int]:
     """The flattened pairs of a window path, closer by opener."""
-    return {u: w for u, w in window_pairs(word, lo, hi)[0].items() if mask >> u & 1}
+    return {u: w for u, w in window_pairs(word, lo, hi).items() if mask >> u & 1}
 
 
 def _truncation_image(t, a0, c, gamma, valleys):
@@ -397,7 +397,7 @@ def _extension_image(t, a0, c, gamma, valleys):
     if not later:
         raise ConstructionError("base-extension", "no valley beyond the paired column")
     d = later[0]
-    wpairs, _ = window_pairs(t.word, a0, d)
+    wpairs = window_pairs(t.word, a0, d)
     if any(wpairs.get(u) != w for u, w in _flattened(t.word, a0, c, gamma).items()):
         raise ConstructionError(
             "base-extension", "existing flattenings are not pairs of the longer window"

@@ -306,7 +306,7 @@ def cmd_render(args) -> int:
     flattened = _once(given, "--flatten:", lambda pair: f"{pair[0]}:{pair[1]}")
     # the window's pairs in ranks, by their pair of positions
     at = t.positions
-    pairs, _ = window_pairs(t.word, 0, len(at) + 1)
+    pairs = window_pairs(t.word, 0, len(at) + 1)
     opener = {(at[u - 1], at[w - 1]): u for u, w in pairs.items()}
     if not flattened <= opener.keys():
         raise CliError(f"--flatten must name matched pairs of the window; pairs are {sorted(opener)}")

@@ -200,15 +200,11 @@ def delete_first_row(lam: Partition) -> Partition:
     return lam[1:]
 
 
-def admissible_moves(
-    lam: Partition, e: int, r: int, max_size: int | None = None
-) -> list[MoveSpec]:
+def admissible_moves(lam: Partition, e: int, r: int) -> list[MoveSpec]:
     """All moves from lam at residue r with a perfect added/removed matching
-    (the identity move included), optionally capped by |added|."""
+    (the identity move included)."""
     out = []
     for a, b in column_sets(sign_sequence_of(lam, e, r), 0):
-        if max_size is not None and len(a) > max_size:
-            break
         if bijective(a, b):
             out.append(MoveSpec(lam, e, r, a, b))
     return out

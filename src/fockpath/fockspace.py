@@ -112,10 +112,6 @@ class FockVector:
     def support(self) -> frozenset[Partition]:
         return frozenset(self._terms)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FockVector):
             return NotImplemented
@@ -128,12 +124,6 @@ class FockVector:
         out = dict(self._terms)
         for p, c in other._terms.items():
             out[p] = out.get(p, ZERO) + c
-        return FockVector(out)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        out = dict(self._terms)
-        for p, c in other._terms.items():
-            out[p] = out.get(p, ZERO) - c
         return FockVector(out)
 
     def scale(self, c: LaurentPolynomial | int) -> "FockVector":
@@ -603,20 +593,17 @@ class SingularPivotError(ValueError):
 
 
 def expand_in_canonical(
-    x: FockVector, e: int, oracle: CanonicalBasisOracle | None = None
+    x: FockVector, oracle: CanonicalBasisOracle
 ) -> dict[Partition, LaurentPolynomial]:
-    """Write x as a combination of canonical basis elements.
+    """Write x as a combination of canonical basis elements, at e = oracle.e.
 
     Gaussian from the top, in the oracle's pass (``_eliminate``): the
     lexicographically largest, hence dominance-maximal, support member must
     be the label of a canonical element, so its coefficient is final.
-    Raises SingularPivotError when a needed label is e-singular,
-    UnitriangularityError when an element reaches above its label, and
-    ValueError when the oracle is for another modulus.
+    Raises SingularPivotError when a needed label is e-singular and
+    UnitriangularityError when an element reaches above its label.
     """
-    oracle = oracle or get_oracle(e)
-    if oracle.e != e:
-        raise ValueError(f"expansion at e={e} given an oracle for e={oracle.e}")
+    e = oracle.e
     out: dict[Partition, LaurentPolynomial] = {}
 
     def record(sigma: Partition, c: LaurentPolynomial) -> LaurentPolynomial:

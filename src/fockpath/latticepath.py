@@ -166,7 +166,7 @@ def latticed_paths(window: SignSequence) -> tuple[LatticedPath, ...]:
     window matching's pairs, read off the window's sign-word table, norms
     included.  The generic path (nothing flattened) always appears first."""
     positions, word = window.positions, window.word
-    pairs, _ = window_pairs(word, 0, len(word) + 1)
+    pairs = window_pairs(word, 0, len(word) + 1)
     # (mask bit, pair of positions) by opener; window_pairs counts ranks
     # from 1, mask bits from 0
     bits = [
@@ -432,9 +432,9 @@ def is_valid_path(path: LatticedPath) -> bool:
 # word shifted by the window's first rank, x + 1.
 
 
-def window_pairs(word: tuple[bool, ...], lo: int, hi: int) -> tuple[dict[int, int], list[int]]:
+def window_pairs(word: tuple[bool, ...], lo: int, hi: int) -> dict[int, int]:
     """Bracket matching of the strokes strictly between ranks lo and hi:
-    closer by opener, and the openers left unmatched."""
+    the closer of each matched opener, by opener."""
     pairs: dict[int, int] = {}
     stack: list[int] = []
     for r in range(lo + 1, hi):
@@ -442,7 +442,7 @@ def window_pairs(word: tuple[bool, ...], lo: int, hi: int) -> tuple[dict[int, in
             stack.append(r)
         elif stack:
             pairs[stack.pop()] = r
-    return pairs, stack
+    return pairs
 
 
 def standing_pairs(pairs: dict[int, int], mask: int) -> list[Pair]:
@@ -456,7 +456,7 @@ def standing_pairs(pairs: dict[int, int], mask: int) -> list[Pair]:
 def is_valid_mask(word: tuple[bool, ...], lo: int, hi: int, mask: int) -> bool:
     """is_valid_path on ranks: mask flattens matched pairs of the window
     strictly between lo and hi, down-closed."""
-    pairs, _ = window_pairs(word, lo, hi)
+    pairs = window_pairs(word, lo, hi)
     return mask == sum(1 << u for u in pairs if mask >> u & 1) and not standing_pairs(pairs, mask)
 
 

@@ -30,13 +30,12 @@ def check_partition(parts: Iterable[int]) -> Partition:
     # all positive when the last one is
     if not p or (p[-1] > 0 and all(map(ge, p, p[1:]))):
         return p
-    # the loop finds the first bad part, for the message
+    # otherwise the loop raises on the first bad part, naming it
     for i, x in enumerate(p):
         if x <= 0:
             raise ValueError(f"parts must be positive, got {x}")
         if i and p[i - 1] < x:
             raise ValueError(f"parts must be weakly decreasing, got {p}")
-    return p
 
 
 def check_e(e: int) -> int:

@@ -225,7 +225,7 @@ def run_branching_sweep(cfg: BranchingSweepConfig) -> SweepReport:
         g = oracle.element(lam).vector
         for r in range(e):
             try:
-                coeffs = expand_in_canonical(apply_f(g, e, r), e, oracle)
+                coeffs = expand_in_canonical(apply_f(g, e, r), oracle)
             except SingularPivotError as exc:
                 report.notes["blocked"] += 1
                 report.fail(kind="singular-pivot", **_where(lam, e, r), message=str(exc))

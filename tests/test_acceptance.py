@@ -4,7 +4,8 @@ Each test prints one [PASS]/[FAIL] line (visible with pytest -s or in the
 captured summary).  Budgets: exact formula agreement for e=2 up to size 12,
 e=3 up to 10, e=4 up to 9; bijection identity exhaustive on up to 8
 positions plus 10,000 seeded samples on up to 12; consistency for all
-partitions (singular included) up to size 10 at e in {2,3}.
+partitions (singular included) up to size 10 at e in {2,3}.  Criteria 1-5
+also pin the counts their sweeps report at these budgets.
 """
 
 import time
@@ -56,6 +57,7 @@ def test_criterion_1_formula_equals_oracle(formula_report):
         f"{len(mismatches)} mismatches, {formula_report.notes['seconds']}s",
     )
     assert ok, mismatches[:5]
+    assert (formula_report.checked, formula_report.notes["nonzero"]) == (1035, 914)
 
 
 def test_criterion_2_branching_cross_check():
@@ -70,6 +72,7 @@ def test_criterion_2_branching_cross_check():
         f"{round(time.time() - t0, 1)}s",
     )
     assert ok, report.failures[:5]
+    assert (report.checked, report.notes["blocked"]) == (799, 0)
 
 
 def test_criterion_3_norm_multisets():
@@ -87,6 +90,7 @@ def test_criterion_3_norm_multisets():
     )
     assert report.ok, report.failures[:5]
     assert elapsed < 300
+    assert (report.checked, report.notes["sampled"]) == (19878, 10000)
 
 
 def test_criterion_4_constructive_bijection():
@@ -107,6 +111,7 @@ def test_criterion_4_constructive_bijection():
     for f in failures:
         print(f"  construction failure: {f}")
     assert ok, report.failures[:5]
+    assert (report.checked, report.notes["built"], report.notes["corners"]) == (9878, 9878, {})
 
 
 def test_criterion_5_consistency_identity():
@@ -122,6 +127,7 @@ def test_criterion_5_consistency_identity():
         f"{round(time.time() - t0, 1)}s",
     )
     assert ok, report.failures[:5]
+    assert report.checked == 958
 
 
 def test_criterion_6_output_shapes(formula_report):

@@ -226,6 +226,16 @@ def test_oracle_n_writes_the_computed_level_over_a_stale_one(capsys, tmp_path):
     assert path.read_bytes() == computed
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--n", "5"), "--n needs a cache directory (--cache or FOCKPATH_CACHE)"),
+    ((), "need --mu (or --n to build a cache level)"),
+], ids=["n-without-cache", "no-mu"])
+def test_oracle_usage_errors(capsys, monkeypatch, argv, message):
+    monkeypatch.delenv("FOCKPATH_CACHE", raising=False)
+    code, out, err = run(capsys, "oracle", "--e", "2", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_oracle_rejects_negative_cache_level(capsys, tmp_path):
     code, out, err = run(capsys, "oracle", "--e", "2", "--n", "-1", "--cache", str(tmp_path))
     assert code == 2

@@ -307,7 +307,7 @@ def test_cached_fields_leave_equality_hash_and_repr_alone():
 def test_ranks_are_the_read_only_inverse_of_the_positions():
     t = SignSequence(frozenset({2, 3, 5, 9}), frozenset({1, 4, 6, 7, 8}))
     for window in (t, t.restrict(1, 9), SignSequence(frozenset({-4, 10}), frozenset({0}))):
-        assert dict(window.ranks) == {p: window.ranks[p] for p in window.positions}
+        assert dict(window.ranks) == {p: r for r, p in enumerate(window.positions, 1)}
         assert [window.positions[window.ranks[p] - 1] for p in window.positions] == list(
             window.positions
         )

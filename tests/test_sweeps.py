@@ -125,10 +125,10 @@ def test_a_singular_pivot_is_a_branching_failure(monkeypatch):
     bad = fockspace.apply_f(fockspace.get_oracle(3).element((2, 1)).vector, 3, 1)
     skipped = sum(1 for _ in sweeps._induction_sets(sweeps.sign_sequence_of((2, 1), 3, 1)))
 
-    def expand_in_canonical(x, e, oracle):
+    def expand_in_canonical(x, oracle):
         if x == bad:
             raise fockspace.SingularPivotError("expansion pivot (1, 1, 1) is 3-singular")
-        return expand_in_canonical.real(x, e, oracle)
+        return expand_in_canonical.real(x, oracle)
 
     expand_in_canonical.real = sweeps.expand_in_canonical
     monkeypatch.setattr(sweeps, "expand_in_canonical", expand_in_canonical)
