@@ -60,7 +60,7 @@ from .latticepath import (
     well_nested_collections,
     window_pairs,
 )
-from .signseq import SignSequence, bracket_pairs, onto, unpaired_plus, valley_set
+from .signseq import SignSequence, _frozen, bracket_pairs, onto, unpaired_plus, valley_set
 
 
 class ConstructionError(RuntimeError):
@@ -155,7 +155,7 @@ def left_elements(t: SignSequence, a, b) -> tuple[LeftElement, ...]:
     for c, shift in _plan(t.word, *_check_instance(t, a, b))[0]:
         c = t.positions[c - 1]
         out.extend(
-            LeftElement(position=c, collection=coll, norm=shift + coll.norm)
+            _frozen(LeftElement, position=c, collection=coll, norm=shift + coll.norm)
             for coll in well_nested_collections(t, a, b | {c})
         )
     return tuple(out)
@@ -168,8 +168,8 @@ def right_elements(t: SignSequence, a, b) -> tuple[RightElement, ...]:
         d = t.positions[d - 1]
         colls = well_nested_collections(t.shift_up(d), a, b | {d})
         out.extend(
-            RightElement(valley=d, marker=t.positions[dp - 1], collection=coll,
-                         norm=shift + coll.norm)
+            _frozen(RightElement, valley=d, marker=t.positions[dp - 1], collection=coll,
+                    norm=shift + coll.norm)
             for dp, shift in markers for coll in colls
         )
     return tuple(out)

@@ -11,13 +11,12 @@ ones.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .laurent import LaurentPolynomial, ZERO, quantum_integer
+from .laurent import LaurentPolynomial, ZERO, _nonzero, quantum_integer
 from .latticepath import WellNestedCollection, well_nested_collections
 from .partitions import Partition, boundary_nodes, cells, check_e, check_partition, residue
 from .signseq import PairingError, SignSequence, bijective, unpaired_plus, valley_set
@@ -153,7 +152,12 @@ def decomposition_polynomial(move: MoveSpec) -> LaurentPolynomial:
 def norm_polynomial(items: Iterable) -> LaurentPolynomial:
     """Sum of v^norm over items carrying a ``norm`` (well-nested
     collections, left or right elements); 0 when there are none."""
-    return LaurentPolynomial(Counter(item.norm for item in items))
+    counts: dict[int, int] = {}
+    for item in items:
+        norm = item.norm
+        counts[norm] = counts.get(norm, 0) + 1
+    # the counts are positive ints: the ring operations' constructor suffices
+    return _nonzero(counts)
 
 
 def branching_coefficient(

@@ -15,7 +15,9 @@ A window is a rank slice of its sequence: ``SignSequence.restrict`` hands
 it its positions and sign word as slices.  Its paths depend only on that
 word, so they are tabulated once per word as (bitmask of flattened opener
 ranks, norm) entries.  ``latticed_paths`` reads the window's pairs off the
-word (``window_pairs``) and builds one path per table entry, norm included.
+word (``window_pairs``) and builds one path per table entry, norm included,
+in one write (``signseq._frozen``: its parts are checked already), as
+``well_nested_collections`` builds each collection with its norm summed.
 
 One enumerator, ``_nested_choices``, serves the path tables and both
 collection enumerators.  It takes one option list per pair of a
@@ -49,7 +51,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, pairwise
 from typing import Iterable
 
-from .signseq import PairingError, SignSequence, bracket_pairs
+from .signseq import PairingError, SignSequence, _frozen, bracket_pairs
 
 Pair = tuple[int, int]
 
@@ -64,8 +66,9 @@ class LatticedPath:
     it has no window, no strokes, and norm 0.  A genuine window with no
     interior positions instead carries the zero-step path of norm 1.
 
-    ``norm`` is a cached view: ``latticed_paths`` fills it from the word's
-    path table, and any other path computes it on first read.
+    ``norm`` is a cached view: ``latticed_paths`` builds each path in one
+    write, norm included, from the word's path table, and any other path
+    computes it on first read.
     """
 
     window: SignSequence
@@ -106,7 +109,9 @@ _EMPTY = LatticedPath.empty()
 
 # Path tables memoised per sign word.  A window's latticed paths depend only
 # on the order type of its signs, and far fewer words than windows recur: on
-# wide partitions one word stands for two windows or more.
+# wide partitions one word stands for two windows or more.  Room for every
+# word of up to 10 letters (2,048) rebuilds fewer tables but was measured no
+# faster end to end, and holds more memory.
 _WORD_CACHE = 256
 
 
@@ -172,12 +177,11 @@ def latticed_paths(window: SignSequence) -> tuple[LatticedPath, ...]:
     bits = [
         (u - 1, (positions[u - 1], positions[w - 1])) for u, w in sorted(pairs.items())
     ]
-    out = []
-    for mask, norm in _path_table(word):
-        path = LatticedPath(window, frozenset([pair for i, pair in bits if mask >> i & 1]))
-        path.__dict__["norm"] = norm
-        out.append(path)
-    return tuple(out)
+    return tuple(
+        _frozen(LatticedPath, window=window, degenerate=False, norm=norm,
+                flattened=frozenset([pair for i, pair in bits if mask >> i & 1]))
+        for mask, norm in _path_table(word)
+    )
 
 
 def latticed_paths_by_flattening(window: SignSequence) -> frozenset[LatticedPath]:
@@ -249,12 +253,16 @@ class WellNestedCollection:
 
     ``entries`` holds (opener, closer, path) sorted by opener; self-paired
     openers carry the degenerate empty path.
+
+    ``norm`` is a cached view, the sum of the paths' norms:
+    ``well_nested_collections`` sums it once as it builds each collection,
+    and any other collection sums it on first read.
     """
 
     base: SignSequence
     entries: tuple[tuple[int, int, LatticedPath], ...]
 
-    @property
+    @cached_property
     def norm(self) -> int:
         return sum(path.norm for _, _, path in self.entries)
 
@@ -346,7 +354,11 @@ def well_nested_collections(
     # inclusion of flattened sets is transitive, so testing each child
     # against its parent gives F_inner <= F_outer for every nested pair
     choices = _nested_choices(pairs, options, lambda o, c, k: o[0][2].flattened <= c[k][2].flattened)
-    return tuple(WellNestedCollection(t, entries) for entries in choices)
+    return tuple(
+        _frozen(WellNestedCollection, base=t, entries=entries,
+                norm=sum([path.norm for _, _, path in entries]))
+        for entries in choices
+    )
 
 
 def _perfect_matching(

@@ -22,6 +22,17 @@ from types import MappingProxyType
 from typing import AbstractSet, Iterable, Mapping
 
 
+def _frozen(cls, **fields):
+    """An instance of the frozen dataclass cls whose fields (and any cached
+    views named beside them) are already checked: written to the instance
+    ``__dict__`` at once, bypassing ``__init__``, ``__post_init__`` and the
+    frozen ``__setattr__``.  Every field must be named; the public
+    constructor keeps every check."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 class PairingError(ValueError):
     """A pairing precondition failed (e.g. a required perfect matching)."""
 
@@ -143,8 +154,9 @@ class SignSequence:
     positions (rank -> position), the rank map (position -> rank), the sign
     word, the generic path's prefix heights and the matching are computed
     once per object, on first use (``cached_property`` writes the instance
-    ``__dict__``, which the frozen dataclass allows); ``restrict`` fills a
-    window's positions and word from this sequence's.
+    ``__dict__``, which the frozen dataclass allows); ``restrict`` builds a
+    window with ``_frozen``, its positions and word sliced from this
+    sequence's.
     """
 
     plus: frozenset[int]
@@ -218,12 +230,11 @@ class SignSequence:
         hi = len(positions) if upper is None else bisect_left(positions, upper)
         window = positions[lo:hi]
         members = frozenset(window)
-        out = SignSequence(members & self.plus, members - self.plus)
-        # A window is a rank slice: its sorted positions and its sign word
-        # are slices of this sequence's, so spare the new one its sort.
-        out.__dict__["positions"] = window
-        out.__dict__["word"] = self.word[lo:hi]
-        return out
+        # A window is a rank slice of a checked sequence: its signs cannot
+        # overlap, and its sorted positions and sign word are slices of this
+        # sequence's, so it is built in one write, spared its sort.
+        return _frozen(SignSequence, plus=members & self.plus, minus=members - self.plus,
+                       positions=window, word=self.word[lo:hi])
 
 
 def valley_set(t: SignSequence) -> frozenset[int]:

@@ -277,14 +277,13 @@ def sample_instances(
         minus = frozenset(range(1, k + 1)) - plus
         if not minus:
             continue
-        t = SignSequence(plus, minus)
         nb = rng.randint(0, min(len(plus), len(minus) - 1))
         a = frozenset(rng.sample(sorted(minus), nb + 1))
         b = frozenset(rng.sample(sorted(plus), nb))
         if not onto(a, b):
             continue
         produced += 1
-        yield t, a, b
+        yield SignSequence(plus, minus), a, b
 
 
 @_timed
