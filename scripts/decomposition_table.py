@@ -3,15 +3,16 @@
 
 For each e-regular partition of n and each residue, list the nonzero
 polynomials of all same-residue moves, together with the oracle value so
-the agreement is visible at a glance.  Exits 1 when the oracle disagrees
-on any move, and 2, after an error line, on a modulus below 2, a
-negative size or a --cache that cannot be used as a directory (a regular
-file, say).
+the agreement is visible at a glance.  Exit codes are fockpath's: 1 when
+the oracle disagrees on any move; 2, after an error line, on a modulus
+below 2, a negative size or a --cache that cannot be used as a directory
+(a regular file, say); 3 on a broken invariant of the oracle.
 """
 
 import argparse
 import sys
 
+from fockpath.cli import exits
 from fockpath.closedform import admissible_moves, decomposition_polynomial
 from fockpath.fockspace import get_oracle, is_e_regular
 from fockpath.partitions import check_e, format_partition, partitions_of
@@ -41,25 +42,17 @@ def print_table(e: int, n: int, cache: str | None) -> tuple[int, int]:
     return rows, disagreements
 
 
+@exits
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--e", type=int, required=True)
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--cache", help="oracle cache directory")
     args = parser.parse_args(argv)
-    try:
-        check_e(args.e)
-        if args.n < 0:
-            raise ValueError(f"n must be non-negative, got {args.n}")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        rows, disagreements = print_table(args.e, args.n, args.cache)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    check_e(args.e)
+    if args.n < 0:
+        raise ValueError(f"n must be non-negative, got {args.n}")
+    rows, disagreements = print_table(args.e, args.n, args.cache)
     print(f"-- {rows} moves at e={args.e}, n={args.n}")
     if disagreements:
         print(f"error: the oracle disagrees on {disagreements} of {rows} moves", file=sys.stderr)

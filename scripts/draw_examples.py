@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
 """Re-draw the worked path figures (ASCII to stdout, SVG to files).
 
-Exits 2, after an error line, when the SVG file cannot be written.
+Exit codes are fockpath's: 2, after an error line, if the SVG is unwritable.
 """
 
 import argparse
 import sys
 
+from fockpath.cli import exits
 from fockpath.latticepath import latticed_paths, render_ascii, render_svg
 from fockpath.signseq import SignSequence
 
 
+@exits
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--svg-out", help="write all five paths to one SVG file")
@@ -23,12 +25,8 @@ def main(argv: list[str] | None = None) -> int:
         print(render_ascii(path, overlay=True))
         print()
     if args.svg_out:
-        try:
-            with open(args.svg_out, "w", encoding="utf-8") as fh:
-                fh.write(render_svg(paths) + "\n")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        with open(args.svg_out, "w", encoding="utf-8") as fh:
+            fh.write(render_svg(paths) + "\n")
         print(f"wrote {args.svg_out}")
     return 0
 

@@ -7,8 +7,9 @@ acceptance config, then, with --deep, each at its deep config (as
 instance up to MAP_DIGEST_POSITIONS positions, printed in canonical form,
 must equal MAP_DIGEST.  --cache goes to every config with a cache_dir.
 --json prints each run's report with the run's name, as the text names it.
-Exits 1 if any sweep reports a failure, and 2, after an error line, when
-the --cache directory cannot be used (a regular file, say).
+Exit codes are fockpath's: 1 if any sweep reports a failure; 2, after an
+error line, when the --cache directory cannot be used (a regular file,
+say); 3 on a broken invariant of the oracle or of exact arithmetic.
 """
 
 import argparse
@@ -21,6 +22,7 @@ import time
 
 from fockpath import sweeps
 from fockpath.bijection import build_bijection
+from fockpath.cli import exits
 
 MAP_DIGEST_POSITIONS = 8
 MAP_DIGEST = "e563e2abea7db6ae5972bcc9b67a1c383fe1b1856fe9c21cca5a6453e6116145"
@@ -66,6 +68,7 @@ def run_map_digest() -> sweeps.SweepReport:
     return report
 
 
+@exits
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--cache", help="oracle cache directory")
@@ -88,11 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     all_ok = True
     results = []
     for name, runner in runs:
-        try:
-            report = runner()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = runner()
         all_ok &= report.ok
         results.append({**report.to_json(), "name": name})
         if not args.json:

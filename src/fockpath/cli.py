@@ -5,15 +5,17 @@ covered moves from a partition), paths (latticed paths / well-nested
 collections of a sign sequence), oracle (canonical-basis coefficients and
 the level cache), verify (the verification sweeps), render (path drawing).
 
-Exit codes: 0 success, 1 verification failure, 2 usage, scope or file error
-(a flag that the command would ignore included), 3 a broken invariant of
-the oracle or of exact arithmetic (a bug).
+Exit codes, which the scripts share through exits: 0 success, 1 verification
+failure, 2 usage, scope, size or file error (a flag that the command would
+ignore included), 3 a broken invariant of the oracle or of exact arithmetic
+(a bug).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -186,7 +188,7 @@ def cmd_moves(args) -> int:
 
 def cmd_paths(args) -> int:
     t = _sign_sequence(args)
-    if args.add or args.remove:
+    if args.add is not None or args.remove is not None:
         colls = well_nested_collections(t, _parse_positions(args, "add"), _parse_positions(args, "remove"))
         records = [
             {
@@ -405,24 +407,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def exits(main):
+    """main(argv) under the exit codes above, for fockpath and the scripts:
+    argparse's own code, else one error: line and 2 or 3 by the error."""
+    @functools.wraps(main)
+    def run(argv: list[str] | None = None) -> int:
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse has printed usage or help
+            return USAGE_ERROR if exc.code not in (0, None) else 0
+        except (ValueError, OSError) as exc:
+            message, code = exc, USAGE_ERROR
+        except RecursionError as exc:
+            # the oracle recurses once per ladder of its label: out of scope
+            message, code = f"input too large: {exc}", USAGE_ERROR
+        except (UnitriangularityError, DivisibilityError) as exc:
+            message, code = exc, INVARIANT_ERROR
+        print(f"error: {message}", file=sys.stderr)
+        return code
+    return run
+
+
+@exits
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except RecursionError as exc:
-        # the oracle recurses once per ladder of its label: out of scope
-        print(f"error: input too large: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (UnitriangularityError, DivisibilityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return INVARIANT_ERROR
+    args = build_parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -31,11 +31,12 @@ def sign_sequence_of(lam: Partition, e: int, r: int) -> SignSequence:
 
 # Sign sequences memoised per (lam, e, r).  A sweep asks for one (lam, r)
 # once per move, so its moves share one SignSequence and the positions,
-# heights and matching that object caches.
+# heights and matching that object caches.  Typed, so that an r of 1.0 is
+# refused by the checks on a miss rather than answered from r=1's entry.
 _SIGN_SEQUENCE_CACHE = 256
 
 
-@lru_cache(maxsize=_SIGN_SEQUENCE_CACHE)
+@lru_cache(maxsize=_SIGN_SEQUENCE_CACHE, typed=True)
 def _sign_sequence_of(lam: Partition, e: int, r: int) -> SignSequence:
     removable, indent = boundary_nodes(check_partition(lam), e, r)
     return SignSequence(

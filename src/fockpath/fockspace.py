@@ -48,6 +48,7 @@ from .partitions import (
     cells,
     check_e,
     check_partition,
+    check_residue,
     dominates,
     partitions_of,
     residue,
@@ -158,6 +159,7 @@ def _add_indent_nodes(x: FockVector, e: int, r: int, k: int) -> FockVector:
     """Add every k-set S of indent r-nodes to each partition of x, shifting
     its coefficient by the sum over gamma in S of (indent r-nodes not in S
     to the right of gamma) minus (removable r-nodes to the right of gamma)."""
+    check_residue(e, r)  # once, ahead of the memo, which would answer r=1.0 as 1
     out: dict[Partition, dict[int, int]] = {}
     for lam, coeff in x._terms.items():
         terms = list(coeff.items())

@@ -24,22 +24,29 @@ class Comparison(enum.IntEnum):
 
 
 def check_partition(parts: Iterable[int]) -> Partition:
-    """Validate and normalise an iterable of parts into a partition tuple."""
+    """Validate and normalise an iterable of parts into a partition tuple;
+    a part may be any value that int() reads exactly, such as "2" or 1.0."""
+    parts = tuple(parts)
     p = tuple(map(int, parts))
-    # one C-level pass accepts the valid input: weakly decreasing parts are
-    # all positive when the last one is
-    if not p or (p[-1] > 0 and all(map(ge, p, p[1:]))):
+    # one C-level pass accepts the valid input: parts that are already ints
+    # and weakly decreasing are all positive when the last one is
+    if not p or (p == parts and p[-1] > 0 and all(map(ge, p, p[1:]))):
         return p
     # otherwise the loop raises on the first bad part, naming it
-    for i, x in enumerate(p):
+    for i, (x, given) in enumerate(zip(p, parts)):
+        if x != given and not isinstance(given, str):
+            raise ValueError(f"parts must be integers, got {given!r}")
         if x <= 0:
             raise ValueError(f"parts must be positive, got {x}")
         if i and p[i - 1] < x:
             raise ValueError(f"parts must be weakly decreasing, got {p}")
+    return p  # exact parts given as strings or floats
 
 
 def check_e(e: int) -> int:
     """Validate the modulus e of residues and return it."""
+    if not isinstance(e, int):
+        raise ValueError(f"e must be an integer, got {e!r}")
     if e < 2:
         raise ValueError("e must be at least 2")
     return e
@@ -47,8 +54,11 @@ def check_e(e: int) -> int:
 
 def check_residue(e: int, r: int) -> None:
     """Validate the modulus e, as check_e does, then a residue r modulo it."""
-    if not (e >= 2 and 0 <= r < e):  # one test on the valid input
+    # one test on the valid input
+    if not (isinstance(e, int) and isinstance(r, int) and e >= 2 and 0 <= r < e):
         check_e(e)
+        if not isinstance(r, int):
+            raise ValueError(f"residue must be an integer, got {r!r}")
         raise ValueError(f"residue {r} out of range for e={e}")
 
 

@@ -124,6 +124,15 @@ def test_paths_wellnested(capsys):
     assert sorted((rec["norm"] for rec in records), reverse=True) == [8, 6, 4]
 
 
+def test_paths_with_an_explicitly_empty_matching_lists_its_one_collection(capsys):
+    code, out, _ = run(capsys, "paths", "--plus", "2", "--minus", "1", "--add", "", "--remove", "")
+    assert code == 0
+    assert out == "1 well-nested collections\nnorm 0: []\n"
+    code, out, _ = run(capsys, "paths", "--plus", "2", "--minus", "1", "--add", "", "--json")
+    assert code == 0
+    assert json.loads(out) == [{"norm": 0, "windows": []}]
+
+
 def test_paths_names_only_the_misplaced_columns(capsys):
     code, out, err = run(
         capsys, "paths", "--plus", "3,5,6", "--minus", "1,2,4",
@@ -528,6 +537,18 @@ def test_oracle_errors_have_defined_exit_codes(capsys, monkeypatch, error, code)
     assert got == code
     assert out == ""
     assert err.startswith("error: elimination for (3, 2) failed")
+
+
+def test_an_oracle_label_too_deep_to_recurse_on_exits_2(capsys):
+    code, out, err = run(capsys, "oracle", "--e", "2", "--mu", "999")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input too large: maximum recursion depth exceeded")
+    assert err.count("\n") == 1
+    # the shared e=2 oracle still answers
+    code, out, _ = run(capsys, "oracle", "--e", "2", "--mu", "3,1")
+    assert code == 0
+    assert out == "2,1,1: v^2\n2,2: v\n3,1: 1\n"
 
 
 def test_inexact_division_exits_3(capsys, monkeypatch):

@@ -229,6 +229,23 @@ def test_oracle_coefficient_examples():
         oracle_coefficient((1,), (2,), 2)
 
 
+def test_oracle_coefficient_refuses_a_part_that_is_not_an_integer():
+    # int() would read [1.9, 1] as (1, 1), whose coefficient is v
+    with pytest.raises(ValueError, match=r"^parts must be integers, got 1\.9$"):
+        oracle_coefficient([1.9, 1], (2,), 2)
+    with pytest.raises(ValueError, match=r"^e must be an integer, got 2\.5$"):
+        oracle_coefficient((1, 1), (2,), 2.5)
+
+
+def test_apply_f_refuses_a_residue_that_is_not_an_integer_after_a_memo_hit():
+    x = FockVector.basis((1,))
+    assert apply_f(x, 2, 1) == apply_f_divided(x, 2, 1, 1)  # (1,), 2, 1 is memoised
+    with pytest.raises(ValueError, match=r"^residue must be an integer, got 1\.0$"):
+        apply_f(x, 2, 1.0)
+    with pytest.raises(ValueError, match=r"^e must be an integer, got 2\.0$"):
+        apply_f_divided(x, 2.0, 1, 1)
+
+
 def test_canonical_element_invariants():
     from fockpath.partitions import dominates
 

@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from fockpath.closedform import sign_sequence_of
 from fockpath.partitions import (
     Comparison,
     add_cell,
     beta_set,
     boundary_nodes,
+    check_e,
     check_partition,
     check_residue,
     compare_classes,
@@ -247,6 +249,9 @@ def test_add_cell_accepts_exactly_the_addable_nodes():
     ([1, 2], "parts must be weakly decreasing, got (1, 2)"),
     ((3, -1, 2), "parts must be positive, got -1"),
     ((3, 1, 2, 0), "parts must be weakly decreasing, got (3, 1, 2, 0)"),
+    ([2.7, 1], "parts must be integers, got 2.7"),
+    ((3, 1.5, 1), "parts must be integers, got 1.5"),
+    ([1, 2.5], "parts must be integers, got 2.5"),
 ])
 def test_check_partition_messages(parts, message):
     with pytest.raises(ValueError) as info:
@@ -271,6 +276,12 @@ def test_check_partition_normalises_any_iterable_of_ints():
     (residue_profile, ((2, 1), 0, 0, 3), "e must be at least 2"),
     (residue_profile, ((2, 1), 3, -1, 3), "residue -1 out of range for e=3"),
     (check_residue, (1, 0), "e must be at least 2"),
+    (check_residue, (2.5, 0.5), "e must be an integer, got 2.5"),
+    (check_residue, (3, 0.5), "residue must be an integer, got 0.5"),
+    (check_e, (2.5,), "e must be an integer, got 2.5"),
+    (check_e, ("3",), "e must be an integer, got '3'"),
+    (sign_sequence_of, ((3, 1), 2.5, 0.5), "e must be an integer, got 2.5"),
+    (sign_sequence_of, ((3, 1), 2, 1.0), "residue must be an integer, got 1.0"),
 ])
 def test_every_residue_is_checked_by_check_residue(call, args, message):
     with pytest.raises(ValueError) as info:

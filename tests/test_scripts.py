@@ -68,6 +68,33 @@ def test_a_script_exits_2_on_a_cache_that_is_a_file(capsys, tmp_path, name, argv
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, argv", [
+    ("decomposition_table", ["--e", "2", "--n", "5"]),
+    ("run_acceptance", []),
+])
+def test_a_script_exits_3_on_a_broken_oracle_invariant(capsys, monkeypatch, name, argv):
+    from fockpath import fockspace
+
+    def broken(self, mu):
+        raise fockspace.UnitriangularityError(f"elimination for {mu} failed")
+
+    monkeypatch.setattr(fockspace.CanonicalBasisOracle, "_compute", broken)
+    assert _script(name).main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: elimination for (") and err.endswith(") failed\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["decomposition_table", "draw_examples", "run_acceptance"])
+def test_a_script_returns_argparse_exit_codes(capsys, name):
+    script = _script(name)
+    assert script.main(["--no-such-flag"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and err.count("error: ") == 1
+    assert script.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ")
+
+
 @pytest.fixture
 def acceptance(monkeypatch):
     """run_acceptance.py with every runner of sweeps.SWEEPS and map-digest
