@@ -19,6 +19,14 @@ largest offending partition is always dominance-maximal.  The same pass,
 Divided powers f_r^(k) come from their closed form, one weighted term per
 k-set of indent r-nodes.
 
+Both sums run on plain exponent -> int maps: ``_eliminate`` adds each
+term's product into its partition's running map in place and builds that
+partition's LaurentPolynomial only when the pass reaches it, and
+``_add_indent_nodes`` builds each coefficient once, at the end.  Every
+coefficient a FockVector holds is a LaurentPolynomial.  Every read of the
+oracle's memo, the elimination's own included, goes through one locked
+method, ``CanonicalBasisOracle._compute``.
+
 Besides the oracle's memo of G, one bounded memo (``functools.lru_cache``,
 ``_ADDITION_CACHE`` entries) keeps the per-partition terms of f_r^(k): the
 partitions lam + S and their exponents, keyed on (lam, e, r, k).  It
@@ -38,9 +46,10 @@ import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import neg
 from typing import Iterator, Mapping
 
-from .laurent import LaurentPolynomial, ZERO
+from .laurent import LaurentPolynomial, ZERO, _nonzero
 from .partitions import (
     Partition,
     add_cell,
@@ -150,6 +159,9 @@ def apply_f_divided(x: FockVector, e: int, r: int, k: int) -> FockVector:
     order-free weight of ``_add_indent_nodes`` (Lascoux-Leclerc-Thibon,
     CMP 181, 1996, section 4), so no division is needed.
     """
+    # ahead of the memo, which would answer k=1.0 as 1
+    if not isinstance(k, int):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("divided power needs k >= 1")
     return _add_indent_nodes(x, e, r, k)
@@ -162,12 +174,12 @@ def _add_indent_nodes(x: FockVector, e: int, r: int, k: int) -> FockVector:
     check_residue(e, r)  # once, ahead of the memo, which would answer r=1.0 as 1
     out: dict[Partition, dict[int, int]] = {}
     for lam, coeff in x._terms.items():
-        terms = list(coeff.items())
+        terms = coeff._coeffs.items()
         for mu, exponent in _indent_additions(lam, e, r, k):
             acc = out.setdefault(mu, {})
             for exp, c in terms:
                 acc[exp + exponent] = acc.get(exp + exponent, 0) + c
-    return FockVector({mu: LaurentPolynomial(acc) for mu, acc in out.items()})
+    return FockVector({mu: _nonzero(acc) for mu, acc in out.items()})
 
 
 # Per-partition terms of f_r^(k) memoised per (lam, e, r, k).  The oracle
@@ -269,39 +281,54 @@ def _json_partition(parts) -> Partition:
 def _descending(p: Partition) -> tuple[int, ...]:
     """Heap key that pops partitions of one size in decreasing
     lexicographic order."""
-    return tuple(-part for part in p)
+    return tuple(map(neg, p))
 
 
 def _eliminate(terms, element, pivot) -> dict[Partition, LaurentPolynomial]:
     """terms plus multiples of canonical elements, added top down: at each
     nonzero coefficient c of a partition nu, in decreasing lexicographic
     order, pivot(nu, c) gives the multiple of G(nu) = element(nu) to add,
-    or None.
+    or None.  Returns the nonzero coefficients of the sum.
 
     If q dominates p and q != p, the first part where they differ is larger
     in q, so q > p lexicographically.  G(nu) lives on partitions nu
     dominates, so adding it changes only coefficients below nu, and the
     pass meets each partition after its last change.  Heap keys are negated
     parts: partitions of one size are never prefixes of each other.
+
+    Each running coefficient is an exponent -> int map that every product
+    adds into in place.  A partition's polynomial is built when the pass
+    meets it, and again after a pivot adds G(nu)'s diagonal term; a map
+    that cancelled to zero is skipped without one.
     """
-    coeffs = dict(terms)
-    pending = [(_descending(p), p) for p in coeffs]
+    sums = {p: dict(c._coeffs) for p, c in terms.items()}
+    out: dict[Partition, LaurentPolynomial] = {}
+    pending = [(_descending(p), p) for p in sums]
     heapq.heapify(pending)
     while pending:
         _, nu = heapq.heappop(pending)
-        c = coeffs[nu]
-        multiple = pivot(nu, c) if c else None
+        running = sums[nu]
+        if not any(running.values()):
+            continue  # cancelled to zero
+        c = _nonzero(running)
+        multiple = pivot(nu, c)
         if multiple is None:
+            out[nu] = c
             continue
         for p, cp in element(nu)._terms.items():
             if p > nu:
                 raise UnitriangularityError(
                     f"support of G({nu}) contains {p}, lexicographically above it"
                 )
-            if p not in coeffs:
+            acc = sums.get(p)
+            if acc is None:
+                acc = sums[p] = {}
                 heapq.heappush(pending, (_descending(p), p))
-            coeffs[p] = coeffs.get(p, ZERO) + cp * multiple
-    return coeffs
+            for exp, k in (cp * multiple)._coeffs.items():
+                acc[exp] = acc.get(exp, 0) + k
+        if any(running.values()):
+            out[nu] = _nonzero(running)
+    return out
 
 
 class CanonicalBasisOracle:
@@ -339,62 +366,67 @@ class CanonicalBasisOracle:
 
     def element(self, mu: Partition) -> CanonicalBasisElement:
         mu = check_partition(mu)
-        if not is_e_regular(mu, self.e):
-            raise ERegularError(
-                f"{mu} is {self.e}-singular; the ladder-seed oracle does not cover it"
-            )
-        with self._lock:
-            vec = self._compute(mu)
-        return CanonicalBasisElement(mu=mu, vector=vec)
+        self._check_regular(mu)
+        return CanonicalBasisElement(mu=mu, vector=self._compute(mu))
 
     def coefficient(self, lam: Partition, mu: Partition) -> LaurentPolynomial:
         lam = check_partition(lam)
         mu = check_partition(mu)
         if sum(lam) != sum(mu):
             raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-        return self.element(mu).coefficient(lam)
+        self._check_regular(mu)
+        return self._compute(mu).coefficient(lam)
 
-    def _compute(self, mu: Partition) -> FockVector:
-        if self._cache is not None and sum(mu) not in self._loaded_levels:
-            self._load_level(sum(mu))
-        if mu in self._memo:
-            self.memo_hits += 1
-            return self._memo[mu]
-        # Seed with f_r^(k) G(nu): (r, k) is the last ladder step and nu is mu
-        # without that ladder's k nodes, which end their rows; nu keeps mu's
-        # other ladders, so it is an e-regular partition.  A node on ladder L
-        # has residue 1 - L mod e.  The seed is bar-invariant, as f_r^(k)
-        # commutes with bar, so elimination gives the unique G(mu) if the seed
-        # is 1 at mu and lexicographically below mu elsewhere; both are checked.
-        end_ladders = [i + (self.e - 1) * (part - 1) for i, part in enumerate(mu, 1)]
-        top = max(end_ladders)
-        truncated = tuple(p - 1 if end == top else p for p, end in zip(mu, end_ladders))
-        below = self._compute(tuple(p for p in truncated if p))
-        seed = apply_f_divided(below, self.e, (1 - top) % self.e, end_ladders.count(top))
-        if seed.coefficient(mu) != 1:
-            raise UnitriangularityError(
-                f"ladder seed of {mu} has diagonal coefficient {seed.coefficient(mu)}"
+    def _check_regular(self, mu: Partition) -> None:
+        if not is_e_regular(mu, self.e):
+            raise ERegularError(
+                f"{mu} is {self.e}-singular; the ladder-seed oracle does not cover it"
             )
 
-        def strip(nu: Partition, c: LaurentPolynomial) -> LaurentPolynomial | None:
-            if nu > mu:
+    def _compute(self, mu: Partition) -> FockVector:
+        """The vector of G(mu) for a checked e-regular mu: the one read of
+        the memo, under the lock, computing it on a miss."""
+        with self._lock:
+            if self._cache is not None and sum(mu) not in self._loaded_levels:
+                self._load_level(sum(mu))
+            if mu in self._memo:
+                self.memo_hits += 1
+                return self._memo[mu]
+            # Seed with f_r^(k) G(nu): (r, k) is the last ladder step and nu is
+            # mu without that ladder's k nodes, which end their rows; nu keeps
+            # mu's other ladders, so it is an e-regular partition.  A node on
+            # ladder L has residue 1 - L mod e.  The seed is bar-invariant, as
+            # f_r^(k) commutes with bar, so elimination gives the unique G(mu)
+            # if the seed is 1 at mu and lexicographically below mu elsewhere;
+            # both are checked.
+            end_ladders = [i + (self.e - 1) * (part - 1) for i, part in enumerate(mu, 1)]
+            top = max(end_ladders)
+            truncated = tuple(p - 1 if end == top else p for p, end in zip(mu, end_ladders))
+            below = self._compute(tuple(p for p in truncated if p))
+            seed = apply_f_divided(below, self.e, (1 - top) % self.e, end_ladders.count(top))
+            if seed.coefficient(mu) != 1:
                 raise UnitriangularityError(
-                    f"seed of {mu} holds {nu}, lexicographically above it"
+                    f"ladder seed of {mu} has diagonal coefficient {seed.coefficient(mu)}"
                 )
-            if nu == mu or c.min_exponent > 0:
-                return None
-            if not is_e_regular(nu, self.e):
-                raise UnitriangularityError(
-                    f"elimination for {mu} hit the {self.e}-singular pivot {nu}"
-                )
-            return -c.symmetric_split()[0]
 
-        coeffs = _eliminate(seed._terms, self._compute, strip)
-        vec = FockVector(coeffs)
-        self._check_element(mu, vec)
-        self._memo[mu] = vec
-        self.computed += 1
-        return vec
+            def strip(nu: Partition, c: LaurentPolynomial) -> LaurentPolynomial | None:
+                if nu > mu:
+                    raise UnitriangularityError(
+                        f"seed of {mu} holds {nu}, lexicographically above it"
+                    )
+                if nu == mu or c.min_exponent > 0:
+                    return None
+                if not is_e_regular(nu, self.e):
+                    raise UnitriangularityError(
+                        f"elimination for {mu} hit the {self.e}-singular pivot {nu}"
+                    )
+                return -c.symmetric_split()[0]
+
+            vec = FockVector(_eliminate(seed._terms, self._compute, strip))
+            self._check_element(mu, vec)
+            self._memo[mu] = vec
+            self.computed += 1
+            return vec
 
     def _check_element(self, mu: Partition, vec: FockVector) -> None:
         if vec.coefficient(mu) != 1:
@@ -451,7 +483,7 @@ class CanonicalBasisOracle:
             raise ValueError(f"cache level size must be non-negative, got {n}")
         with self._lock:
             return {
-                mu: self.element(mu).vector for mu in partitions_of(n) if is_e_regular(mu, self.e)
+                mu: self._compute(mu) for mu in partitions_of(n) if is_e_regular(mu, self.e)
             }
 
     def save_level(self, n: int) -> str:
@@ -614,5 +646,5 @@ def expand_in_canonical(
         out[sigma] = c
         return -c
 
-    _eliminate(x._terms, lambda sigma: oracle.element(sigma).vector, record)
+    _eliminate(x._terms, oracle._compute, record)
     return out

@@ -27,7 +27,10 @@ def check_partition(parts: Iterable[int]) -> Partition:
     """Validate and normalise an iterable of parts into a partition tuple;
     a part may be any value that int() reads exactly, such as "2" or 1.0."""
     parts = tuple(parts)
-    p = tuple(map(int, parts))
+    try:
+        p = tuple(map(int, parts))
+    except (TypeError, ValueError, OverflowError):  # such as None, "x" or inf
+        p = tuple(map(_int_part, parts))  # raises, naming the first bad part
     # one C-level pass accepts the valid input: parts that are already ints
     # and weakly decreasing are all positive when the last one is
     if not p or (p == parts and p[-1] > 0 and all(map(ge, p, p[1:]))):
@@ -41,6 +44,13 @@ def check_partition(parts: Iterable[int]) -> Partition:
         if i and p[i - 1] < x:
             raise ValueError(f"parts must be weakly decreasing, got {p}")
     return p  # exact parts given as strings or floats
+
+
+def _int_part(given) -> int:
+    try:
+        return int(given)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"parts must be integers, got {given!r}") from None
 
 
 def check_e(e: int) -> int:
@@ -76,6 +86,8 @@ def format_partition(p: Partition) -> str:
 
 def partitions(n: int) -> Iterator[Partition]:
     """All partitions of n, in lexicographically decreasing order."""
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {n!r}")
 
     def gen(rest: int, cap: int, prefix: tuple[int, ...]) -> Iterator[Partition]:
         if rest == 0:
@@ -314,7 +326,8 @@ def compare_classes(p: Partition, q: Partition, e: int, r: int) -> Comparison:
 _PARTITION_LEVELS = 64
 
 
-@lru_cache(maxsize=_PARTITION_LEVELS)
+# typed, so an entry for 3 never answers 3.0, which partitions() refuses
+@lru_cache(maxsize=_PARTITION_LEVELS, typed=True)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """Cached tuple of all partitions of n (sweeps iterate these a lot)."""
     return tuple(partitions(n))

@@ -75,6 +75,27 @@ def test_criterion_2_branching_cross_check():
     assert (report.checked, report.notes["blocked"]) == (799, 0)
 
 
+def test_the_acceptance_oracle_sweeps_read_the_memo_a_pinned_number_of_times(monkeypatch):
+    """On fresh oracles, formula then branching: (memo_size, memo_hits,
+    computed) per modulus, so a read path that skips or repeats a memo
+    lookup shows.  No cache is used, so every level counter stays 0."""
+    from fockpath import fockspace
+
+    monkeypatch.setattr(fockspace, "_oracles", {})  # a fresh process's oracles
+    expected = {
+        "formula": {"2": (70, 340, 69), "3": (82, 362, 81), "4": (76, 369, 75)},
+        "branching": {"2": (88, 256, 18), "3": (109, 315, 27), "4": (105, 282, 29)},
+    }
+    for run in (sweeps.run_formula_sweep, sweeps.run_branching_sweep):
+        report = run(FormulaSweepConfig(budgets=FULL_BUDGETS))
+        oracle = report.notes["oracle"]
+        got = {e: (s["memo_size"], s["memo_hits"], s["computed"]) for e, s in oracle.items()}
+        assert got == expected[report.kind]
+        for stats in oracle.values():
+            assert stats["levels_loaded"] == stats["levels_missing"] == 0
+            assert stats["cache_discards"] == 0
+
+
 def test_criterion_3_norm_multisets():
     t0 = time.time()
     report = sweeps.run_bijection_sweep(

@@ -246,6 +246,18 @@ def test_apply_f_refuses_a_residue_that_is_not_an_integer_after_a_memo_hit():
         apply_f_divided(x, 2.0, 1, 1)
 
 
+def test_apply_f_divided_refuses_a_k_that_is_not_an_integer_on_a_cold_and_a_warm_memo():
+    from fockpath import fockspace
+
+    x = FockVector.basis((1,))
+    fockspace._indent_additions.cache_clear()
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 1\.0$"):
+        apply_f_divided(x, 2, 1, 1.0)
+    assert apply_f_divided(x, 2, 1, 1) == apply_f(x, 2, 1)  # (1,), 2, 1, 1 is memoised
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 1\.0$"):
+        apply_f_divided(x, 2, 1, 1.0)
+
+
 def test_canonical_element_invariants():
     from fockpath.partitions import dominates
 

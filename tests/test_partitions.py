@@ -252,6 +252,11 @@ def test_add_cell_accepts_exactly_the_addable_nodes():
     ([2.7, 1], "parts must be integers, got 2.7"),
     ((3, 1.5, 1), "parts must be integers, got 1.5"),
     ([1, 2.5], "parts must be integers, got 2.5"),
+    ([float("inf")], "parts must be integers, got inf"),
+    ([3, float("-inf")], "parts must be integers, got -inf"),
+    ([float("nan"), 1], "parts must be integers, got nan"),
+    ([2, None], "parts must be integers, got None"),
+    (["x"], "parts must be integers, got 'x'"),
 ])
 def test_check_partition_messages(parts, message):
     with pytest.raises(ValueError) as info:
@@ -266,6 +271,14 @@ def test_check_partition_normalises_any_iterable_of_ints():
     assert check_partition(()) == ()
     with pytest.raises(ValueError):
         check_partition(["x"])
+
+
+def test_partitions_of_refuses_a_size_that_is_not_an_integer_after_a_memo_hit():
+    assert partitions_of(3) == ((3,), (2, 1), (1, 1, 1))  # 3 is memoised
+    for n in (3.0, "3"):
+        with pytest.raises(ValueError) as info:
+            partitions_of(n)
+        assert str(info.value) == f"n must be an integer, got {n!r}"
 
 
 @pytest.mark.parametrize("call, args, message", [
